@@ -23,6 +23,7 @@ func TestColdstartQuick(t *testing.T) {
 		"replay":  r.ReplayRegsPerSec,
 		"remote":  r.RemoteRegsPerSec,
 		"speedup": r.Speedup,
+		"us/reg":  r.ReplayMicrosPerReg,
 	} {
 		if v <= 0 {
 			t.Errorf("%s = %v, want > 0", name, v)
@@ -30,8 +31,8 @@ func TestColdstartQuick(t *testing.T) {
 	}
 
 	recs := ColdstartRecords(rows)
-	if len(recs) != 4 {
-		t.Fatalf("ColdstartRecords: %d records, want 4", len(recs))
+	if len(recs) != 5 {
+		t.Fatalf("ColdstartRecords: %d records, want 5", len(recs))
 	}
 	for _, rec := range recs {
 		if rec.Figure != "coldstart" || rec.Config != "25formats" {

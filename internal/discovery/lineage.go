@@ -216,37 +216,68 @@ func SnapshotLineageDoc(l *registry.Lineage) LineageDoc {
 // without a format body cannot be adopted and end the walk for that
 // lineage.  A document that disagrees with already-merged history — a
 // different ID at the same position — is reported as an error and the local
-// lineage is left as it was.  It returns the number of versions adopted.
+// lineage is left as it was, policy included: each document is validated
+// against local history first and only then applied.  Documents ahead of a
+// refused one are merged; the rest are not.  The documents of one call
+// reach the registry as one bulk apply (registry.Apply), so merging a
+// catalogue costs time linear in its size.  It returns the number of
+// versions adopted.
 func MergeLineages(lr *registry.Registry, docs []LineageDoc, source string) (int, error) {
 	adopted := 0
+	batch := make([]registry.Update, 0, len(docs))
+	// A name that repeats within one call must be validated against what the
+	// earlier document leaves behind, so the batch so far is applied first.
+	queued := make(map[string]struct{}, len(docs))
+	flush := func() {
+		adopted += lr.Apply(batch)
+		batch = batch[:0]
+		clear(queued)
+	}
 	for _, d := range docs {
 		if d.Name == "" {
 			continue
 		}
-		lr.AdoptPolicy(d.Name, d.Policy)
-		l, err := lr.Lineage(d.Name)
+		if _, again := queued[d.Name]; again {
+			flush()
+		}
+		muts, err := planMerge(lr, d, source)
 		if err != nil {
+			flush()
 			return adopted, err
 		}
-		local := l.Versions()
-		for i, id := range d.VersionIDs {
-			if i < len(local) {
-				if local[i].ID != id {
-					return adopted, fmt.Errorf("discovery: lineage %q diverged: local v%d is %#016x, document says %#016x",
-						d.Name, i+1, uint64(local[i].ID), uint64(id))
-				}
-				continue
-			}
-			if i >= len(d.Formats) || d.Formats[i] == nil {
-				break // no body to adopt; a later full snapshot will fill in
-			}
-			if _, err := l.Adopt(d.Formats[i], source); err != nil {
-				return adopted, err
-			}
-			adopted++
+		queued[d.Name] = struct{}{}
+		batch = append(batch, registry.Update{Lineage: d.Name, Mutations: muts})
+	}
+	flush()
+	return adopted, nil
+}
+
+// planMerge validates one document against the local lineage and returns
+// the mutations that bring the lineage up to it: the document's policy,
+// then the versions past the local head that came with a body.
+func planMerge(lr *registry.Registry, d LineageDoc, source string) ([]registry.Mutation, error) {
+	var local []registry.Version
+	if l, err := lr.Lineage(d.Name); err == nil {
+		local = l.Versions()
+	}
+	for i, id := range d.VersionIDs {
+		if i == len(local) {
+			break
+		}
+		if local[i].ID != id {
+			return nil, fmt.Errorf("discovery: lineage %q diverged: local v%d is %#016x, document says %#016x",
+				d.Name, i+1, uint64(local[i].ID), uint64(id))
 		}
 	}
-	return adopted, nil
+	muts := make([]registry.Mutation, 1, 1+max(len(d.VersionIDs)-len(local), 0))
+	muts[0] = registry.Mutation{Policy: d.Policy}
+	for i := len(local); i < len(d.VersionIDs); i++ {
+		if i >= len(d.Formats) || d.Formats[i] == nil {
+			break // no body to adopt; a later full snapshot will fill in
+		}
+		muts = append(muts, registry.Mutation{Format: d.Formats[i], Source: source})
+	}
+	return muts, nil
 }
 
 // LineageHandler serves a lineage discovery document at

@@ -201,6 +201,68 @@ func TestMergeLineages(t *testing.T) {
 	}
 }
 
+// TestMergeLineagesRefusalLeavesLineageAlone: a diverged document is refused
+// before anything of it is applied — its policy included — while the
+// documents ahead of it in the same call are merged.
+func TestMergeLineagesRefusalLeavesLineageAlone(t *testing.T) {
+	build := func(name string, fields int) *meta.Format {
+		defs := []meta.FieldDef{{Name: "id", Kind: meta.Integer, Class: platform.Int}}
+		for i := 1; i < fields; i++ {
+			defs = append(defs, meta.FieldDef{Name: "f" + string(rune('a'+i)), Kind: meta.Integer, Class: platform.Int})
+		}
+		f, err := meta.Build(name, platform.X8664, defs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	s1, s2, other := build("sensor", 1), build("sensor", 2), build("sensor", 3)
+	a1 := build("audit", 1)
+
+	local := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+	if _, err := local.Register("sensor", s1, "test"); err != nil {
+		t.Fatal(err)
+	}
+	rev := local.Rev()
+	docs := []LineageDoc{
+		{Name: "audit", Policy: registry.PolicyFull, VersionIDs: []meta.FormatID{a1.ID()}, Formats: []*meta.Format{a1}},
+		{Name: "sensor", Policy: registry.PolicyNone, // v1 is not what the local lineage holds
+			VersionIDs: []meta.FormatID{other.ID(), s2.ID()}, Formats: []*meta.Format{other, s2}},
+		{Name: "zone", Policy: registry.PolicyFull},
+	}
+	n, err := MergeLineages(local, docs, "gossip")
+	if err == nil || n != 1 {
+		t.Fatalf("merge = %d, %v; want the audit version adopted and a divergence error", n, err)
+	}
+	l, _ := local.Lineage("sensor")
+	if l.Policy() != registry.PolicyBackward || l.Len() != 1 || l.Rev() != 1 {
+		t.Errorf("refused document changed the lineage: policy=%v len=%d rev=%d", l.Policy(), l.Len(), l.Rev())
+	}
+	if a, err := local.Lineage("audit"); err != nil || a.Policy() != registry.PolicyFull || a.Len() != 1 {
+		t.Errorf("document ahead of the refused one was not merged: %v", err)
+	}
+	if _, err := local.Lineage("zone"); err == nil {
+		t.Error("document behind the refused one was merged")
+	}
+	if got := local.Rev(); got != rev+2 { // audit's policy and its one version
+		t.Errorf("registry rev moved %d -> %d, want +2", rev, got)
+	}
+
+	// A name repeated in one call is validated against what the earlier
+	// document left behind: the second document here diverges at v2.
+	fresh := registry.New()
+	n, err = MergeLineages(fresh, []LineageDoc{
+		{Name: "sensor", VersionIDs: []meta.FormatID{s1.ID(), s2.ID()}, Formats: []*meta.Format{s1, s2}},
+		{Name: "sensor", VersionIDs: []meta.FormatID{s1.ID(), other.ID()}, Formats: []*meta.Format{s1, other}},
+	}, "gossip")
+	if err == nil || n != 2 {
+		t.Errorf("repeated name: merge = %d, %v; want 2 adopted and a divergence error", n, err)
+	}
+	if l, _ := fresh.Lineage("sensor"); l.Len() != 2 {
+		t.Errorf("repeated name: %d versions, want 2", l.Len())
+	}
+}
+
 // FuzzMergeLineages: the gossiped lineage-delta wire format is parsed and
 // merged from bytes a peer sent; arbitrary input must never panic or
 // corrupt the receiving registry, and whatever merges must re-snapshot to a

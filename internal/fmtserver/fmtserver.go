@@ -54,7 +54,8 @@ type BlobStore interface {
 	PutFormat(f *meta.Format, source string) (meta.FormatID, error)
 	// FormatIDs lists every stored format.
 	FormatIDs() ([]meta.FormatID, error)
-	// GetBlob returns the canonical bytes stored under id.
+	// GetBlob returns the canonical bytes stored under id, verified against
+	// it, in a slice the caller may keep.
 	GetBlob(id meta.FormatID) ([]byte, error)
 }
 
@@ -123,29 +124,64 @@ func (r *Registry) AttachStore(bs BlobStore) {
 	r.blobs.Store(&bs)
 }
 
-// WarmFromStore replays every format persisted in bs through the normal
-// registration path, warming the catalogue from local disk without a single
-// remote fetch.  Blobs that fail to parse or (with lineages attached) fail a
-// compatibility check are skipped — the store may hold formats journaled for
-// lineage recovery that the catalogue's policy would not re-admit.  Returns
-// the number of formats now resident.  Call before AttachStore, or the warm
-// registrations will be redundantly written back.
+// WarmFromStore loads every format persisted in bs into the catalogue,
+// warming it from local disk without a single remote fetch.  Each blob is
+// parsed (which validates it) and, with lineages attached, registered with
+// its lineage; blobs that fail either step are skipped — the store may hold
+// formats journaled for lineage recovery that the catalogue's policy would
+// not re-admit.  The store verified each blob against its key, and a format
+// blob's key is its FormatID, so the ID is taken from the key rather than
+// re-derived, and the whole batch enters the catalogue under one lock
+// acquisition.  Nothing is written back to an attached store.  Returns the
+// number of stored formats now resident.
 func (r *Registry) WarmFromStore(bs BlobStore) (int, error) {
 	ids, err := bs.FormatIDs()
 	if err != nil {
 		return 0, err
 	}
-	n := 0
+	type entry struct {
+		id   meta.FormatID
+		data []byte
+	}
+	batch := make([]entry, 0, len(ids))
 	for _, id := range ids {
 		data, err := bs.GetBlob(id)
 		if err != nil {
 			continue
 		}
-		if _, err := r.RegisterCanonical(data); err == nil {
-			n++
+		if _, err := r.admit(data); err == nil {
+			batch = append(batch, entry{id, data})
 		}
 	}
-	return n, nil
+	added := 0
+	r.mu.Lock()
+	for _, e := range batch {
+		if _, had := r.byID[e.id]; !had {
+			r.byID[e.id] = e.data
+			added++
+		}
+	}
+	r.mu.Unlock()
+	r.stats.RegistrationsNew.Add(int64(added))
+	return len(batch), nil
+}
+
+// admit counts one registration attempt and decides it: the bytes must parse
+// as a valid format and, with lineages attached, the format must join its
+// lineage.
+func (r *Registry) admit(data []byte) (*meta.Format, error) {
+	r.stats.Registrations.Add(1)
+	f, err := meta.ParseCanonical(data)
+	if err == nil {
+		if lr := r.lineages.Load(); lr != nil {
+			_, err = lr.Register(f.Name, f, "fmtserver")
+		}
+	}
+	if err != nil {
+		r.stats.RegisterErrors.Add(1)
+		return nil, err
+	}
+	return f, nil
 }
 
 // RegisterCanonical validates canonical format bytes and stores them,
@@ -154,17 +190,9 @@ func (r *Registry) WarmFromStore(bs BlobStore) (int, error) {
 // compatibility policy — a violation rejects the registration with a
 // *registry.CompatError and stores nothing.
 func (r *Registry) RegisterCanonical(data []byte) (meta.FormatID, error) {
-	r.stats.Registrations.Add(1)
-	f, err := meta.ParseCanonical(data)
+	f, err := r.admit(data)
 	if err != nil {
-		r.stats.RegisterErrors.Add(1)
 		return 0, err
-	}
-	if lr := r.lineages.Load(); lr != nil {
-		if _, err := lr.Register(f.Name, f, "fmtserver"); err != nil {
-			r.stats.RegisterErrors.Add(1)
-			return 0, err
-		}
 	}
 	id := f.ID()
 	r.mu.Lock()

@@ -38,7 +38,7 @@ type lineageSnap struct {
 // Lineage is the versioned history of one named format.
 type Lineage struct {
 	name   string
-	mu     sync.Mutex // serialises Register and SetPolicy
+	mu     sync.Mutex // serialises writers (see commit)
 	policy atomic.Int32
 	snap   atomic.Pointer[lineageSnap]
 	// rev points at the owning registry's revision counter; lastRev records
@@ -51,38 +51,9 @@ type Lineage struct {
 	observer *atomic.Pointer[Observer]
 }
 
-// notifyAppend reports a committed version append.  Callers hold l.mu, so
-// observers see each lineage's appends in history order.
-func (l *Lineage) notifyAppend(v Version, adopted bool) {
-	if l.observer == nil {
-		return
-	}
-	if o := l.observer.Load(); o != nil {
-		(*o).LineageAppended(l.name, v, adopted)
-	}
-}
-
-// notifyPolicy reports a committed policy change.  Callers hold l.mu.
-func (l *Lineage) notifyPolicy(p Policy) {
-	if l.observer == nil {
-		return
-	}
-	if o := l.observer.Load(); o != nil {
-		(*o).PolicyChanged(l.name, p)
-	}
-}
-
 // Rev returns the registry revision of this lineage's last mutation (zero
 // if it has never been mutated).
 func (l *Lineage) Rev() uint64 { return l.lastRev.Load() }
-
-// touch stamps the lineage with a fresh registry revision.  Callers hold
-// l.mu.
-func (l *Lineage) touch() {
-	if l.rev != nil {
-		l.lastRev.Store(l.rev.Add(1))
-	}
-}
 
 // Name returns the lineage name.
 func (l *Lineage) Name() string { return l.name }
@@ -132,6 +103,103 @@ func (l *Lineage) Versions() []Version {
 	return out
 }
 
+// Mutation is one replicated change to a lineage: a version to append, or —
+// with a nil Format — a policy to adopt.  Some other authority (the home
+// broker, the journal of a previous run) already admitted it, so applying
+// one performs no compatibility check.
+type Mutation struct {
+	// Format is the version to append.  Appending an ID the lineage already
+	// holds is a no-op.
+	Format *meta.Format
+	// Source is the provenance recorded on an appended version.
+	Source string
+	// Policy replaces the lineage policy when Format is nil, without
+	// validating the existing history against it.
+	Policy Policy
+}
+
+// commit applies muts in order and publishes the result once: however many
+// versions a batch appends, the versions slice and the byID index are
+// copied once and swapped in with one atomic store, so a reader sees the
+// history before the batch or after it, never part of it.  The registry
+// revision advances by one per mutation that took effect, and the observer
+// hears those mutations, in order, after the publish.  It returns the
+// version the last append in muts resolved to (appended now or already
+// present) and the number of versions appended.  Callers hold l.mu.
+func (l *Lineage) commit(muts []Mutation, adopted bool) (last Version, appended int) {
+	cur := l.snap.Load()
+	next := cur // becomes a private copy at the first new version
+	pol := l.Policy()
+	var now time.Time
+	var effBuf [4]int
+	eff := effBuf[:0] // indices of the mutations that took effect
+	for i, m := range muts {
+		if m.Format == nil {
+			if m.Policy != pol {
+				pol = m.Policy
+				eff = append(eff, i)
+			}
+			continue
+		}
+		id := m.Format.ID()
+		if j, ok := next.byID[id]; ok {
+			last = next.versions[j]
+			continue
+		}
+		if next == cur {
+			next = cur.grown(len(muts) - i)
+			now = time.Now()
+		}
+		last = Version{
+			Version:      len(next.versions) + 1,
+			ID:           id,
+			Format:       m.Format,
+			Source:       m.Source,
+			RegisteredAt: now,
+		}
+		if n := len(next.versions); n > 0 {
+			last.Parent = next.versions[n-1].ID
+		}
+		next.byID[id] = len(next.versions)
+		next.versions = append(next.versions, last)
+		eff = append(eff, i)
+	}
+	if len(eff) == 0 {
+		return last, 0
+	}
+	if next != cur {
+		l.snap.Store(next)
+	}
+	l.policy.Store(int32(pol))
+	l.lastRev.Store(l.rev.Add(uint64(len(eff))))
+	if o := l.observer.Load(); o != nil {
+		n := len(cur.versions)
+		for _, i := range eff {
+			if muts[i].Format == nil {
+				(*o).PolicyChanged(l.name, muts[i].Policy)
+				continue
+			}
+			(*o).LineageAppended(l.name, next.versions[n], adopted)
+			n++
+		}
+	}
+	return last, len(next.versions) - len(cur.versions)
+}
+
+// grown returns a private copy of the snapshot with room for extra more
+// versions.
+func (s *lineageSnap) grown(extra int) *lineageSnap {
+	next := &lineageSnap{
+		versions: make([]Version, len(s.versions), len(s.versions)+extra),
+		byID:     make(map[meta.FormatID]int, len(s.byID)+extra),
+	}
+	copy(next.versions, s.versions)
+	for id, i := range s.byID {
+		next.byID[id] = i
+	}
+	return next
+}
+
 // Register appends a format to the lineage if the policy admits it.
 // Re-registering an ID already in the lineage is idempotent and returns
 // the existing version.  A policy violation returns a *CompatError naming
@@ -156,29 +224,7 @@ func (l *Lineage) Register(f *meta.Format, source string) (Version, error) {
 			}
 		}
 	}
-	v := Version{
-		Version:      len(cur.versions) + 1,
-		ID:           id,
-		Format:       f,
-		Source:       source,
-		RegisteredAt: time.Now(),
-	}
-	if len(cur.versions) > 0 {
-		v.Parent = cur.versions[len(cur.versions)-1].ID
-	}
-	next := &lineageSnap{
-		versions: make([]Version, len(cur.versions)+1),
-		byID:     make(map[meta.FormatID]int, len(cur.byID)+1),
-	}
-	copy(next.versions, cur.versions)
-	next.versions[len(cur.versions)] = v
-	for k, i := range cur.byID {
-		next.byID[k] = i
-	}
-	next.byID[id] = len(cur.versions)
-	l.snap.Store(next)
-	l.touch()
-	l.notifyAppend(v, false)
+	v, _ := l.commit([]Mutation{{Format: f, Source: source}}, false)
 	return v, nil
 }
 
@@ -189,36 +235,9 @@ func (l *Lineage) Register(f *meta.Format, source string) (Version, error) {
 // ID already in the lineage is idempotent and returns the existing version;
 // no policy check is performed either way.
 func (l *Lineage) Adopt(f *meta.Format, source string) (Version, error) {
-	id := f.ID()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cur := l.snap.Load()
-	if i, ok := cur.byID[id]; ok {
-		return cur.versions[i], nil
-	}
-	v := Version{
-		Version:      len(cur.versions) + 1,
-		ID:           id,
-		Format:       f,
-		Source:       source,
-		RegisteredAt: time.Now(),
-	}
-	if len(cur.versions) > 0 {
-		v.Parent = cur.versions[len(cur.versions)-1].ID
-	}
-	next := &lineageSnap{
-		versions: make([]Version, len(cur.versions)+1),
-		byID:     make(map[meta.FormatID]int, len(cur.byID)+1),
-	}
-	copy(next.versions, cur.versions)
-	next.versions[len(cur.versions)] = v
-	for k, i := range cur.byID {
-		next.byID[k] = i
-	}
-	next.byID[id] = len(cur.versions)
-	l.snap.Store(next)
-	l.touch()
-	l.notifyAppend(v, true)
+	v, _ := l.commit([]Mutation{{Format: f, Source: source}}, true)
 	return v, nil
 }
 
@@ -229,12 +248,7 @@ func (l *Lineage) Adopt(f *meta.Format, source string) (Version, error) {
 func (l *Lineage) AdoptPolicy(p Policy) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if Policy(l.policy.Load()) == p {
-		return
-	}
-	l.policy.Store(int32(p))
-	l.touch()
-	l.notifyPolicy(p)
+	l.commit([]Mutation{{Policy: p}}, true)
 }
 
 // SetPolicy changes the lineage policy.  Tightening is only allowed if the
@@ -256,11 +270,7 @@ func (l *Lineage) SetPolicy(p Policy) error {
 			}
 		}
 	}
-	if Policy(l.policy.Load()) != p {
-		l.policy.Store(int32(p))
-		l.touch()
-		l.notifyPolicy(p)
-	}
+	l.commit([]Mutation{{Policy: p}}, false)
 	return nil
 }
 
@@ -371,50 +381,92 @@ func (r *Registry) Lineages() []string {
 	return out
 }
 
-// ensure returns the named lineage, creating it with the default policy if
-// absent.
-func (r *Registry) ensure(name string) *Lineage {
-	if l, ok := (*r.lineages.Load())[name]; ok {
-		return l
+// Update is one lineage's share of a bulk apply: the mutations to replay
+// onto it, in order.
+type Update struct {
+	Lineage   string
+	Mutations []Mutation
+}
+
+// Apply replays already-admitted mutations onto many lineages at once — the
+// path journal recovery, snapshot replay and gossip merges take.  The cost
+// is linear in the batch: lineages the registry does not have yet (an
+// Update with no mutations still creates its lineage) all join the lookup
+// table in one copy of it, and each lineage's new history is built once
+// and published with one atomic store (see Lineage.commit).  It returns the
+// number of versions appended.
+func (r *Registry) Apply(updates []Update) int {
+	table := r.ensure(updates)
+	appended := 0
+	for _, u := range updates {
+		l := table[u.Lineage]
+		l.mu.Lock()
+		_, n := l.commit(u.Mutations, true)
+		l.mu.Unlock()
+		appended += n
+	}
+	return appended
+}
+
+// ensure returns a lookup table holding every lineage updates names,
+// creating the absent ones with the default policy.  The copy-on-write
+// table is copied and published once per call, not once per new lineage.
+func (r *Registry) ensure(updates []Update) map[string]*Lineage {
+	cur := *r.lineages.Load()
+	missing := 0
+	for _, u := range updates {
+		if _, ok := cur[u.Lineage]; !ok {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return cur
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur := *r.lineages.Load()
-	if l, ok := cur[name]; ok {
-		return l
-	}
-	l := &Lineage{name: name, rev: &r.rev, observer: &r.observer}
-	l.policy.Store(int32(r.defaultPolicy))
-	l.snap.Store(&lineageSnap{byID: map[meta.FormatID]int{}})
-	next := make(map[string]*Lineage, len(cur)+1)
+	cur = *r.lineages.Load()
+	next := make(map[string]*Lineage, len(cur)+missing)
 	for k, v := range cur {
 		next[k] = v
 	}
-	next[name] = l
+	for _, u := range updates {
+		if _, ok := next[u.Lineage]; ok {
+			continue
+		}
+		l := &Lineage{name: u.Lineage, rev: &r.rev, observer: &r.observer}
+		l.policy.Store(int32(r.defaultPolicy))
+		l.snap.Store(&lineageSnap{byID: map[meta.FormatID]int{}})
+		next[u.Lineage] = l
+	}
 	r.lineages.Store(&next)
-	return l
+	return next
+}
+
+// lineage returns the named lineage, creating it if absent.
+func (r *Registry) lineage(name string) *Lineage {
+	return r.ensure([]Update{{Lineage: name}})[name]
 }
 
 // Register appends a format to the named lineage (created with the default
 // policy if new), enforcing the lineage's compatibility policy.
 func (r *Registry) Register(lineage string, f *meta.Format, source string) (Version, error) {
-	return r.ensure(lineage).Register(f, source)
+	return r.lineage(lineage).Register(f, source)
 }
 
 // SetPolicy sets the named lineage's policy, creating the lineage if it
 // does not exist yet (so a policy can be pinned before the first publish).
 func (r *Registry) SetPolicy(lineage string, p Policy) error {
-	return r.ensure(lineage).SetPolicy(p)
+	return r.lineage(lineage).SetPolicy(p)
 }
 
 // Adopt appends an already-admitted format to the named lineage without a
 // policy check (see Lineage.Adopt).
 func (r *Registry) Adopt(lineage string, f *meta.Format, source string) (Version, error) {
-	return r.ensure(lineage).Adopt(f, source)
+	return r.lineage(lineage).Adopt(f, source)
 }
 
 // AdoptPolicy replaces the named lineage's policy without history
 // validation (see Lineage.AdoptPolicy), creating the lineage if absent.
 func (r *Registry) AdoptPolicy(lineage string, p Policy) {
-	r.ensure(lineage).AdoptPolicy(p)
+	r.lineage(lineage).AdoptPolicy(p)
 }

@@ -54,6 +54,20 @@ func (s *Store) RecoverRegistry(reg *registry.Registry) (RecoverStats, error) {
 	}
 	st.TruncatedTail = truncated
 	st.JournalRecords = len(recs)
+	// Records are grouped by lineage (in order within each) and replayed
+	// as one bulk apply; only records of the same lineage depend on each
+	// other's order.
+	var batch []registry.Update
+	slot := map[string]int{} // lineage -> its index in batch
+	queue := func(lineage string, m registry.Mutation) {
+		i, ok := slot[lineage]
+		if !ok {
+			i = len(batch)
+			slot[lineage] = i
+			batch = append(batch, registry.Update{Lineage: lineage})
+		}
+		batch[i].Mutations = append(batch[i].Mutations, m)
+	}
 	// A lineage whose journal replay hit a missing format blob must not
 	// adopt later appends: that would renumber versions.  Broken lineages
 	// stop replaying (and will heal from a peer's full document, exactly
@@ -66,7 +80,7 @@ func (s *Store) RecoverRegistry(reg *registry.Registry) (RecoverStats, error) {
 			if err != nil {
 				continue // an unknown policy name in an old journal is skipped, not fatal
 			}
-			reg.AdoptPolicy(r.Lineage, p)
+			queue(r.Lineage, registry.Mutation{Policy: p})
 		case RecordAppend:
 			if broken[r.Lineage] {
 				continue
@@ -82,12 +96,10 @@ func (s *Store) RecoverRegistry(reg *registry.Registry) (RecoverStats, error) {
 				broken[r.Lineage] = true
 				continue
 			}
-			if _, err := reg.Adopt(r.Lineage, f, r.Source); err != nil {
-				return st, fmt.Errorf("store: replaying journal: %w", err)
-			}
-			st.Versions++
+			queue(r.Lineage, registry.Mutation{Format: f, Source: r.Source})
 		}
 	}
+	st.Versions += reg.Apply(batch)
 	st.Lineages = len(reg.Lineages())
 	s.stats.recovered.Add(int64(st.Versions))
 	return st, nil

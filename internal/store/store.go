@@ -44,8 +44,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -174,9 +176,11 @@ func (s *Store) noteErr(err error) {
 
 // sweepTemp removes temp files left by writes that crashed before rename.
 // A temp file is never referenced by any key, so sweeping is always safe.
+// It goes by directory entries alone: every Open walks the whole blob tree,
+// and an lstat per blob would be most of the cost.
 func (s *Store) sweepTemp() {
-	_ = filepath.Walk(s.dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasSuffix(path, ".tmp") {
+	_ = filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".tmp") {
 			os.Remove(path)
 		}
 		return nil
@@ -353,14 +357,14 @@ func (s *Store) FormatIDs() ([]meta.FormatID, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var out []meta.FormatID
+	out := make([]meta.FormatID, 0, len(entries))
 	for _, e := range entries {
 		name := strings.TrimSuffix(e.Name(), ".json")
 		if len(name) != 16 || name == e.Name() {
 			continue
 		}
-		var id uint64
-		if _, err := fmt.Sscanf(name, "%016x", &id); err != nil {
+		id, err := strconv.ParseUint(name, 16, 64)
+		if err != nil {
 			continue
 		}
 		out = append(out, meta.FormatID(id))

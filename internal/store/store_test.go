@@ -3,8 +3,10 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -467,4 +469,47 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// TestRecoverRegistryLinear gates the shape of recovery, not its speed: the
+// bytes RecoverRegistry allocates must grow with the catalogue, not with its
+// square.  Eight times the lineages may cost twelve times the bytes (maps
+// grow in steps); the per-record copy of the lineage table this replaced
+// cost about sixty-four times.
+func TestRecoverRegistryLinear(t *testing.T) {
+	allocated := func(lineages int) uint64 {
+		dir := t.TempDir()
+		s := openTest(t, dir)
+		reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+		if _, err := s.PersistRegistry(reg); err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]registry.Update, lineages)
+		for i := range batch {
+			name := fmt.Sprintf("cat%05d", i)
+			batch[i] = registry.Update{Lineage: name, Mutations: []registry.Mutation{
+				{Format: chainFormat(t, name, 1), Source: "test"},
+			}}
+		}
+		reg.Apply(batch) // the observer journals every append
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+
+		s2 := openTest(t, dir)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rs, err := s2.RecoverRegistry(registry.New())
+		runtime.ReadMemStats(&after)
+		if err != nil || rs.Lineages != lineages || rs.Versions != lineages {
+			t.Fatalf("recovered %+v, %v; want %d one-version lineages", rs, err, lineages)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := allocated(500), allocated(4000)
+	t.Logf("RecoverRegistry allocated %d bytes at 500 lineages, %d at 4000 (%.1fx)", small, large, float64(large)/float64(small))
+	if large > 12*small {
+		t.Errorf("recovery allocation grew %.1fx for 8x the lineages, want <= 12x", float64(large)/float64(small))
+	}
 }
