@@ -2,14 +2,15 @@
 //
 // A publisher stays at the head of a format lineage with S evolution steps
 // behind it; subscribers either track the head (ordinary pass-through
-// fan-out) or pin version 1 at subscribe time.  For a pinned subscriber the
-// broker decodes each head event, projects it onto the v1 view, and
-// re-encodes it — per event, per pinned subscriber.  The figure reports
-// publish throughput for both subscriber kinds as the lineage deepens
-// (more added fields between the pinned view and the head means a larger
-// head record to decode and more fields to drop), plus the fraction of
-// deliveries that actually took the projection path, from the broker's own
-// view_projected counter.
+// fan-out) or pin version 1 at subscribe time.  For pinned subscribers the
+// broker runs a compiled wire-to-wire plan over each head event — once per
+// event per pinned version, into a pooled frame every subscriber of that
+// version shares.  The figure reports publish throughput for both
+// subscriber kinds as the lineage deepens (more added fields between the
+// pinned view and the head means a larger head frame to publish; the plan
+// itself copies only the v1 block), plus projections executed per delivery,
+// from the broker's own view_projected counter: 1/subscribers when the
+// sharing works, 1.0 if every delivery projected for itself.
 
 package bench
 
@@ -38,8 +39,8 @@ type EvolveRow struct {
 	LineageSteps int
 
 	HeadEventsPerSec   float64 // all subscribers at the head: pass-through
-	PinnedEventsPerSec float64 // all subscribers pinned at v1: project per delivery
-	ProjectedPerEvent  float64 // projected deliveries / all deliveries, pinned run
+	PinnedEventsPerSec float64 // all subscribers pinned at v1: one projection per event, shared
+	ProjectedPerEvent  float64 // projections executed / deliveries, pinned run: 1/evolveSubscribers
 }
 
 // Evolve runs the view-negotiation experiment at the standard depths.
@@ -170,7 +171,7 @@ func PrintEvolve(w io.Writer, rows []EvolveRow) {
 	}
 	fmt.Fprintf(w, "View negotiation: %d subscribers at the head vs pinned to v1, publisher at the head\n", evolveSubscribers)
 	fmt.Fprintf(w, "%6s %14s %14s %14s %10s\n",
-		"steps", "head ev/s", "pinned ev/s", "projected/ev", "slowdown")
+		"steps", "head ev/s", "pinned ev/s", "proj/delivery", "slowdown")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%6d %14.0f %14.0f %14.3f %10.2f\n",
 			r.LineageSteps, r.HeadEventsPerSec, r.PinnedEventsPerSec,

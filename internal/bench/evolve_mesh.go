@@ -5,10 +5,11 @@
 // one moves the subscribers behind a federated link.  A publisher stays at
 // the head of a lineage homed on broker A; every subscriber attaches
 // through broker B, whose registry learned the lineage only from the
-// gossiped document.  For pinned subscribers the decode-project-re-encode
-// cycle runs on B — the remote broker pays for the views it serves, the
-// home pays once per event to ship it — so the pinned column prices the
-// federated registry's core promise: pin anywhere, decode identically.
+// gossiped document.  For pinned subscribers the projection plan runs on B,
+// once per event for all of them — the remote broker pays for the views it
+// serves, the home pays once per event to ship it — so the pinned column
+// prices the federated registry's core promise: pin anywhere, decode
+// identically.
 package bench
 
 import (
@@ -34,7 +35,7 @@ type EvolveMeshRow struct {
 
 	HeadEventsPerSec   float64 // remote subscribers at the head: link + fan-out
 	PinnedEventsPerSec float64 // remote subscribers pinned at v1: + projection on B
-	ProjectedPerEvent  float64 // projected / delivered on the remote broker
+	ProjectedPerEvent  float64 // projections executed / deliveries on the remote broker: 1/evolveSubscribers
 }
 
 // EvolveMesh runs the federated view-negotiation experiment at the
@@ -208,7 +209,7 @@ func PrintEvolveMesh(w io.Writer, rows []EvolveMeshRow) {
 	}
 	fmt.Fprintf(w, "Federated view negotiation: %d subscribers through a remote broker, lineage learned by gossip\n", evolveSubscribers)
 	fmt.Fprintf(w, "%6s %14s %14s %14s %10s\n",
-		"steps", "head ev/s", "pinned ev/s", "projected/ev", "slowdown")
+		"steps", "head ev/s", "pinned ev/s", "proj/delivery", "slowdown")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%6d %14.0f %14.0f %14.3f %10.2f\n",
 			r.LineageSteps, r.HeadEventsPerSec, r.PinnedEventsPerSec,

@@ -18,11 +18,12 @@ func TestEvolveMeshQuick(t *testing.T) {
 		t.Errorf("non-positive rates: %+v", r)
 	}
 	// The publisher is at the head and every subscriber is pinned to v1
-	// through the remote broker, so every remote delivery must have taken
-	// the projection path — on the remote, which learned the lineage only
+	// through the remote broker, so every event must have been projected —
+	// once, for all of them, on the remote, which learned the lineage only
 	// from gossip.
-	if r.ProjectedPerEvent < 0.99 || r.ProjectedPerEvent > 1.01 {
-		t.Errorf("projected/event = %v, want 1.0 (all pinned deliveries project on the remote)", r.ProjectedPerEvent)
+	if want := 1.0 / evolveSubscribers; r.ProjectedPerEvent < 0.99*want || r.ProjectedPerEvent > 1.01*want {
+		t.Errorf("projections/delivery = %v, want %v (one projection per event on the remote, shared by %d subscribers)",
+			r.ProjectedPerEvent, want, evolveSubscribers)
 	}
 
 	recs := EvolveMeshRecords(rows)

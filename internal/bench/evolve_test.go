@@ -17,10 +17,11 @@ func TestEvolveQuick(t *testing.T) {
 	if r.HeadEventsPerSec <= 0 || r.PinnedEventsPerSec <= 0 {
 		t.Errorf("non-positive rates: %+v", r)
 	}
-	// Every delivery to a v1-pinned subscriber must take the projection
-	// path: the publisher is at the head, which is never version 1.
-	if r.ProjectedPerEvent < 0.99 || r.ProjectedPerEvent > 1.01 {
-		t.Errorf("projected/event = %v, want 1.0 (all pinned deliveries project)", r.ProjectedPerEvent)
+	// Every event must be projected (the publisher is at the head, which
+	// is never version 1) exactly once, however many subscribers pin v1.
+	if want := 1.0 / evolveSubscribers; r.ProjectedPerEvent < 0.99*want || r.ProjectedPerEvent > 1.01*want {
+		t.Errorf("projections/delivery = %v, want %v (one projection per event shared by %d subscribers)",
+			r.ProjectedPerEvent, want, evolveSubscribers)
 	}
 
 	recs := EvolveRecords(rows)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/registry"
 )
 
@@ -59,28 +60,82 @@ func TestRandomEvolveChainShape(t *testing.T) {
 }
 
 // TestProjectTreeZeroFill: a projection onto a version with added fields
-// reports exactly the zero tree for them.
+// reports exactly the zero tree for them — except an added array on a length
+// field src already has, which is zero to src's count for that field.
 func TestProjectTreeZeroFill(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	src := RandomSpec(r, "z", DefaultGen)
-	dst := src.clone()
-	seq := 0
-	for i := 0; i < 4; i++ {
-		addField(r, dst, DefaultGen, &seq)
+	for seed := int64(7); seed < 27; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		src := RandomSpec(r, "z", DefaultGen)
+		dst := src.clone()
+		seq := 0
+		for i := 0; i < 4; i++ {
+			addField(r, dst, DefaultGen, &seq)
+		}
+		tree := RandomValue(r, src)
+		got, err := ProjectTree(src, dst, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero := dst.ZeroTree()
+		n := len(src.nonLengthFields())
+		if len(got) != len(zero) {
+			t.Fatalf("seed %d: projected %d entries, dst has %d", seed, len(got), len(zero))
+		}
+		dstIdx := dst.nonLengthFields()
+		for k := n; k < len(got); k++ {
+			want := zero[k]
+			if df := &dst.Fields[dstIdx[k]]; df.IsDynamic() {
+				elems := make([]any, srcCount(src, src.nonLengthFields(), tree, df.LengthField))
+				for e := range elems {
+					elems[e] = df.zeroElem()
+				}
+				want = elems
+			}
+			if !EqualTrees([]any{got[k]}, []any{want}) {
+				t.Errorf("seed %d: added field slot %d = %v, want %v", seed, k, got[k], want)
+			}
+		}
 	}
-	tree := RandomValue(r, src)
-	got, err := ProjectTree(src, dst, tree)
+}
+
+// TestEvolveSharedLengthField drives the shape ISSUE 16 found undecodable
+// through the real leg, in both directions: v2 puts a scalar array and a
+// record array on the length field v1's only array already uses.
+func TestEvolveSharedLengthField(t *testing.T) {
+	n := FieldSpec{Name: "n", Kind: meta.Integer, Size: 2}
+	a := FieldSpec{Name: "a", Kind: meta.Float, Size: 8, LengthField: "n"}
+	b := FieldSpec{Name: "b", Kind: meta.Unsigned, Size: 4, LengthField: "n"}
+	r := FieldSpec{Name: "r", Kind: meta.Struct, LengthField: "n", Sub: &Spec{Name: "rt", Fields: []FieldSpec{
+		{Name: "q", Kind: meta.Integer, Size: 4}, {Name: "s", Kind: meta.String, Size: 1},
+	}}}
+	chain := &EvolveChain{Policy: registry.PolicyFullTransitive, Specs: []*Spec{
+		{Name: "m", Fields: []FieldSpec{n, a}},
+		{Name: "m", Fields: []FieldSpec{n, a, b, r}},
+	}}
+	h := NewHarness()
+	compiled := make([]*CompiledSpec, len(chain.Specs))
+	for v, s := range chain.Specs {
+		cs, err := s.Compile(h.Plats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled[v] = cs
+	}
+	st := &EvolveStats{}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 20; i++ {
+		if err := h.projectLeg(chain, compiled, 0, 1, RandomValue(rng, chain.Specs[0]), st); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.projectLeg(chain, compiled, 1, 0, RandomValue(rng, chain.Specs[1]), st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	up, err := ProjectTree(chain.Specs[0], chain.Specs[1], []any{[]any{uint64(1), uint64(2), uint64(3)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero := dst.ZeroTree()
-	n := len(src.nonLengthFields())
-	if len(got) != len(zero) {
-		t.Fatalf("projected %d entries, dst has %d", len(got), len(zero))
-	}
-	for k := n; k < len(got); k++ {
-		if !EqualTrees([]any{got[k]}, []any{zero[k]}) {
-			t.Errorf("added field slot %d = %v, want zero %v", k, got[k], zero[k])
-		}
+	if len(up[1].([]any)) != 3 || len(up[2].([]any)) != 3 {
+		t.Fatalf("projected tree %s: added arrays must carry three zeros each", FormatTree(up))
 	}
 }

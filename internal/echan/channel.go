@@ -60,7 +60,10 @@ func (t *formatTable) append(a announcement) int {
 // sinks can decode for filtering off the publisher's goroutine.  gen is the
 // channel's publish sequence number; shard workers use it to skip
 // subscribers that attached after the event was published, and mesh links
-// use it to deduplicate replays after a reconnect.
+// use it to deduplicate replays after a reconnect.  views memoises the
+// event's frame under each pinned version a subscriber has asked for (see
+// view.go): filled lazily under viewMu, shared by every holder of the
+// event, and released with it.
 type event struct {
 	buf    *pbio.Buffer
 	f      *meta.Format
@@ -68,17 +71,27 @@ type event struct {
 	gen    uint64
 	start  time.Time
 	refs   atomic.Int32
+
+	viewMu sync.Mutex
+	views  []projectedFrame
 }
 
 var eventPool = sync.Pool{New: func() any { return new(event) }}
 
-// release drops one reference; the last reference returns the frame buffer
-// and the event itself to their pools.
+// release drops one reference; the last reference returns the frame buffer,
+// any projected frames, and the event itself to their pools.  The views
+// slice keeps its capacity across reuse, so steady-state projection
+// allocates nothing.
 func (ev *event) release() {
 	if ev.refs.Add(-1) == 0 {
 		ev.buf.Release()
 		ev.buf = nil
 		ev.f = nil
+		for i := range ev.views {
+			ev.views[i].buf.Release()
+			ev.views[i].buf = nil
+		}
+		ev.views = ev.views[:0]
 		eventPool.Put(ev)
 	}
 }
@@ -115,9 +128,10 @@ func (m *channelMetrics) init(reg *obs.Registry, name string) {
 	// delivered_total this is the syscalls-per-event figure the vectored
 	// drain exists to shrink: 1.0 write/event unbatched, under it batched.
 	m.sinkWrites = reg.Counter(p + "sink_writes_total")
-	// Events re-encoded for version-pinned subscribers; against
-	// delivered_total this is the view-negotiation cost (pass-through
-	// frames — pin == event version — don't count).
+	// Projections executed for version-pinned subscribers: one per event
+	// per distinct pinned version in use, however many subscribers share
+	// the projected frame (pass-through frames — pin == event version —
+	// don't count).
 	m.viewProjected = reg.Counter(p + "view_projected_total")
 	m.fanout = reg.Histogram(p + "fanout_latency_ns")
 }
@@ -145,6 +159,7 @@ type Channel struct {
 	shards    []*shard
 	children  atomic.Pointer[[]*Channel]
 	closed    atomic.Bool
+	views     map[meta.FormatID]*view // pinned versions in use, by format ID; under mu
 
 	// adopted marks a mesh proxy channel: its events arrive over an
 	// inter-broker link from the channel's home broker, which already ran
@@ -871,6 +886,13 @@ type Subscription struct {
 	sent int // formats already written; writer goroutine only
 	done chan struct{}
 
+	// view is set for a version-pinned subscription (see view.go): data
+	// frames come from it, upstream announcements are skipped, and its one
+	// announcement goes out before the first data frame (viewAnnounced;
+	// writer goroutine only).
+	view          *view
+	viewAnnounced bool
+
 	// Writer-goroutine scratch for the batched drain, preallocated at
 	// subscribe so steady-state delivery stays allocation-free.
 	batch  []*event
@@ -1000,14 +1022,24 @@ func (s *Subscription) run() {
 // is non-decreasing in delivery order, so each announcement boundary flushes
 // the data frames gathered so far, writes the announcements, and starts a
 // new run — the wire bytes are identical to unbatched delivery, only the
-// write calls are fewer.
+// write calls are fewer.  A version-pinned subscription takes each event's
+// frame from its view instead (the projected frame every subscriber of that
+// version shares, or the event's own when it passes through) and skips the
+// upstream announcements; flushRun writes the view's single announcement
+// ahead of its first data frame.
 func (s *Subscription) deliverBatch(evs []*event) error {
 	head := s.ch.gen.Load()
 	gens := s.gens[:0]
 	frames := s.frames[:0]
 	runStart := 0
 	for i, ev := range evs {
-		if !s.ch.oob && s.sent < ev.fmtIdx {
+		frame := ev.buf.B
+		if s.view != nil {
+			var err error
+			if frame, err = s.view.frame(ev); err != nil {
+				return err
+			}
+		} else if !s.ch.oob && s.sent < ev.fmtIdx {
 			if err := s.flushRun(gens, frames, head, evs[runStart:i]); err != nil {
 				return err
 			}
@@ -1023,7 +1055,7 @@ func (s *Subscription) deliverBatch(evs []*event) error {
 			}
 		}
 		gens = append(gens, ev.gen)
-		frames = append(frames, ev.buf.B)
+		frames = append(frames, frame)
 	}
 	return s.flushRun(gens, frames, head, evs[runStart:])
 }
@@ -1033,6 +1065,17 @@ func (s *Subscription) deliverBatch(evs []*event) error {
 func (s *Subscription) flushRun(gens []uint64, frames [][]byte, head uint64, evs []*event) error {
 	if len(frames) == 0 {
 		return nil
+	}
+	if s.view != nil && !s.viewAnnounced {
+		// Out-of-band channels announce nothing; their subscribers resolve
+		// the pinned format through the fmtserver/discovery path.
+		if !s.ch.oob {
+			s.ch.metrics.sinkWrites.Inc()
+			if err := s.sink.WriteFormat(s.view.annFrame); err != nil {
+				return err
+			}
+		}
+		s.viewAnnounced = true
 	}
 	s.ch.metrics.sinkWrites.Inc()
 	var err error

@@ -3,8 +3,10 @@ package echan
 import (
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
-	"github.com/open-metadata/xmit/internal/obs"
+	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/pbio"
 	"github.com/open-metadata/xmit/internal/registry"
 	"github.com/open-metadata/xmit/internal/transport"
@@ -12,164 +14,153 @@ import (
 
 // View negotiation: a subscriber pins one version of the channel's format
 // lineage at SUB time and keeps decoding it while publishers evolve the
-// format under it.  The broker does the work at the frame seam — a
-// viewSink wrapped around the subscriber's real sink:
+// format under it.  The broker does the work where every other subscriber's
+// frame is chosen — in Subscription.deliverBatch — so a pinned subscriber is
+// an ordinary subscriber whose frames come from its view:
 //
 //   - Announcement replay serves the negotiated version: upstream format
 //     frames (which describe the head and every historical version) are
-//     suppressed, and the pinned version's announcement is written exactly
+//     skipped, and the pinned version's announcement is written exactly
 //     once, before the first data frame.
-//   - Data frames already encoded under the pinned format pass through
-//     untouched — the common case until the format actually evolves, and
-//     it keeps the zero-copy vectored delivery path.
-//   - Any other lineage version is re-encoded through the same decode seam
-//     derived channels use (Context.DecodeRecordBody on the frame body):
-//     decode once, field-project onto the pinned view (zero-filling fields
-//     the event predates, dropping fields the view predates), encode into
-//     a pooled frame.
+//   - Events already in the pinned format, opaque payloads and formats
+//     outside the lineage (decided from the event's own format, not its
+//     bytes) pass through sharing the publisher's buffer: the pin is a
+//     promise about the lineage, not a filter.
+//   - Any other lineage version goes through a compiled wire-to-wire plan
+//     (pbio.Projection: copy runs, width/sign/byte-order conversions, the
+//     variable section re-based), compiled once per source format and run
+//     once per (event, pinned version): the projected frame is memoised on
+//     the refcounted event, so every subscriber pinned to that version —
+//     live, replayed from retention, on a derived channel, behind a mesh
+//     proxy — shares one frame exactly as head subscribers share the
+//     original.  It is released with the event, which means a retained
+//     event keeps its projected frames: retention holds at most
+//     retain x (pinned versions in use) of them.
 //
-// Frames that are not lineage members — opaque payloads, formats published
-// before the registry was attached — pass through unchanged: the pin is a
-// promise about the lineage, not a filter.
-type viewSink struct {
-	inner    Sink
+// registry.Project over dynamic records is the reference the plans are
+// tested against; it is not on this path.
+type view struct {
 	ch       *Channel
 	lineage  *registry.Lineage
 	pinned   registry.Version
 	annFrame []byte // prebuilt announcement frame for the pinned format
-	sentAnn  bool
-	projects *obs.Counter
 
-	// Writer-goroutine scratch for the batched path: the projected run is
-	// assembled here so steady-state pass-through stays allocation-free.
-	outFrames [][]byte
-	outBufs   []*pbio.Buffer
+	// plans maps an event's format to its projection onto the pinned
+	// version; a nil plan means pass through.  Formats are keyed by pointer
+	// for the reason Channel.announced is: registered formats are pointer-
+	// stable and computing a FormatID re-serialises the metadata.  Readers
+	// load the map lock-free; mu serialises the copy-on-write inserts.
+	mu    sync.Mutex
+	plans atomic.Pointer[map[*meta.Format]*pbio.Projection]
 }
 
-// newViewSink wraps inner so it observes the stream at the pinned version.
-func newViewSink(ch *Channel, inner Sink, l *registry.Lineage, pinned registry.Version) *viewSink {
-	return &viewSink{
-		inner:    inner,
+// viewFor returns the channel's view of a pinned version, creating it on
+// the first subscription pinned there.
+func (ch *Channel) viewFor(l *registry.Lineage, pinned registry.Version) *view {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if v := ch.views[pinned.ID]; v != nil {
+		return v
+	}
+	v := &view{
 		ch:       ch,
 		lineage:  l,
 		pinned:   pinned,
 		annFrame: transport.AppendFrame(nil, transport.FrameFormat, pinned.Format.Canonical()),
-		projects: ch.metrics.viewProjected,
 	}
+	v.plans.Store(&map[*meta.Format]*pbio.Projection{})
+	if ch.views == nil {
+		ch.views = map[meta.FormatID]*view{}
+	}
+	ch.views[pinned.ID] = v
+	return v
 }
 
-// WriteFormat suppresses upstream announcements: the view's single
-// announcement (the pinned version) is emitted before the first data frame.
-func (v *viewSink) WriteFormat([]byte) error { return nil }
-
-// ensureAnnounced writes the pinned version's announcement once.  Out-of-
-// band channels announce nothing; their subscribers resolve the pinned
-// format through the fmtserver/discovery path like any other.
-func (v *viewSink) ensureAnnounced() error {
-	if v.sentAnn || v.ch.oob {
-		v.sentAnn = true
-		return nil
+// plan returns the projection for events of format f (nil: pass through),
+// compiling it on first sight.  A step the record path would refuse per
+// event — a kind-family crossing under PolicyNone — fails here instead,
+// naming the field, and detaches the subscriber as it always did.
+func (v *view) plan(f *meta.Format) (*pbio.Projection, error) {
+	if p, ok := (*v.plans.Load())[f]; ok {
+		return p, nil
 	}
-	if err := v.inner.WriteFormat(v.annFrame); err != nil {
-		return err
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	old := *v.plans.Load()
+	if p, ok := old[f]; ok {
+		return p, nil
 	}
-	v.sentAnn = true
-	return nil
+	var p *pbio.Projection
+	if id := f.ID(); id != v.pinned.ID {
+		if src, ok := v.lineage.ResolveID(id); ok {
+			var err error
+			if p, err = pbio.CompileProjection(src.Format, v.pinned.Format); err != nil {
+				return nil, fmt.Errorf("echan: view v%d: projecting v%d: %w", v.pinned.Version, src.Version, err)
+			}
+		}
+	}
+	next := make(map[*meta.Format]*pbio.Projection, len(old)+1)
+	for k, p := range old {
+		next[k] = p
+	}
+	next[f] = p
+	v.plans.Store(&next)
+	return p, nil
 }
 
-// project maps one data frame onto the pinned view.  It returns the frame
-// to deliver and, when re-encoding happened, the pooled buffer backing it
-// (the caller releases it after the write).  A frame outside the lineage
-// passes through with a nil buffer.
-func (v *viewSink) project(frame []byte) ([]byte, *pbio.Buffer, error) {
-	payload := frame[transport.FrameHeaderSize:]
-	id, body, err := pbio.ParseHeader(payload)
-	if err != nil || id == v.pinned.ID {
-		return frame, nil, nil
+// frame returns the data frame a subscriber of the view receives for ev:
+// the event's own frame when it passes through, otherwise the projected
+// frame memoised on the event.
+func (v *view) frame(ev *event) ([]byte, error) {
+	if ev.f == nil || ev.f == v.pinned.Format {
+		return ev.buf.B, nil
 	}
-	src, ok := v.lineage.ResolveID(id)
-	if !ok {
-		return frame, nil, nil // not a lineage member: pass through
+	p, err := v.plan(ev.f)
+	if p == nil || err != nil {
+		return ev.buf.B, err
 	}
-	ctx := v.ch.broker.ctx
-	rec, err := ctx.DecodeRecordBody(src.Format, body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("echan: view v%d: decoding v%d event: %w",
-			v.pinned.Version, src.Version, err)
+	return ev.projected(v, p)
+}
+
+// projectedFrame is one memoised projection of an event: the complete data
+// frame under the format with the given ID.
+type projectedFrame struct {
+	id  meta.FormatID
+	buf *pbio.Buffer
+}
+
+// projected returns ev's frame under v's pinned version, running the plan
+// the first time any subscriber asks and sharing the result afterwards.
+// The slot is keyed by format ID, so a derived channel's subscribers share
+// the frame their parent's subscribers projected (or the other way round).
+func (ev *event) projected(v *view, p *pbio.Projection) ([]byte, error) {
+	const hdr = transport.FrameHeaderSize + pbio.HeaderSize
+	if len(ev.buf.B) < hdr {
+		return ev.buf.B, nil // no PBIO header: not a lineage message after all
 	}
-	prec, err := registry.Project(rec, v.pinned.Format)
-	if err != nil {
-		return nil, nil, fmt.Errorf("echan: view v%d: %w", v.pinned.Version, err)
+	ev.viewMu.Lock()
+	defer ev.viewMu.Unlock()
+	for i := range ev.views {
+		if ev.views[i].id == v.pinned.ID {
+			return ev.views[i].buf.B, nil
+		}
 	}
 	buf := pbio.GetBuffer()
 	b := append(buf.B[:0], make([]byte, transport.FrameHeaderSize)...)
-	b = pbio.AppendHeader(b, v.pinned.ID)
-	if b, err = ctx.EncodeRecordBody(b, prec); err != nil {
+	b, err := p.Append(pbio.AppendHeader(b, v.pinned.ID), ev.buf.B[hdr:])
+	if err == nil && len(b)-transport.FrameHeaderSize+1 > maxEventFrame {
+		err = fmt.Errorf("%d-byte projected event over the %d-byte cap: %w",
+			len(b)-transport.FrameHeaderSize, maxEventFrame, transport.ErrFrameTooLarge)
+	}
+	if err != nil {
 		buf.Release()
-		return nil, nil, fmt.Errorf("echan: view v%d: re-encoding: %w", v.pinned.Version, err)
+		return nil, fmt.Errorf("echan: view v%d: %w", v.pinned.Version, err)
 	}
 	buf.B = b
 	transport.PutFrameHeader(buf.B, transport.FrameData)
-	v.projects.Inc()
-	return buf.B, buf, nil
-}
-
-func (v *viewSink) WriteEvent(gen, head uint64, frame []byte) error {
-	out, buf, err := v.project(frame)
-	if err != nil {
-		return err
-	}
-	if err := v.ensureAnnounced(); err != nil {
-		if buf != nil {
-			buf.Release()
-		}
-		return err
-	}
-	err = v.inner.WriteEvent(gen, head, out)
-	if buf != nil {
-		buf.Release()
-	}
-	return err
-}
-
-// WriteEvents projects a run and hands it down as one batch: pass-through
-// frames keep their shared refcounted buffers, projected ones ride pooled
-// scratch buffers released after the vectored write.
-func (v *viewSink) WriteEvents(gens []uint64, head uint64, frames [][]byte) error {
-	out := v.outFrames[:0]
-	bufs := v.outBufs[:0]
-	release := func() {
-		for i, b := range bufs {
-			b.Release()
-			bufs[i] = nil
-		}
-		v.outFrames, v.outBufs = out[:0], bufs[:0]
-	}
-	for _, frame := range frames {
-		pf, buf, err := v.project(frame)
-		if err != nil {
-			release()
-			return err
-		}
-		out = append(out, pf)
-		if buf != nil {
-			bufs = append(bufs, buf)
-		}
-	}
-	if err := v.ensureAnnounced(); err != nil {
-		release()
-		return err
-	}
-	err := v.inner.WriteEvents(gens, head, out)
-	release()
-	return err
-}
-
-func (v *viewSink) Close() error {
-	if c, ok := v.inner.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
+	ev.views = append(ev.views, projectedFrame{id: v.pinned.ID, buf: buf})
+	v.ch.metrics.viewProjected.Inc()
+	return buf.B, nil
 }
 
 // ResolveView resolves a pinned lineage version for this channel: version
@@ -205,9 +196,7 @@ func (ch *Channel) ResolveView(n int) (*registry.Lineage, registry.Version, erro
 // frames encoded under any other lineage version are field-projected onto
 // it, and w keeps decoding version n no matter how far the publishers have
 // evolved the format.  n == 0 pins the current head (a snapshot: unlike a
-// plain Subscribe, later evolutions are projected back down to it).  The
-// pinned format is registered in the broker's context so projection can
-// encode with it.
+// plain Subscribe, later evolutions are projected back down to it).
 func (ch *Channel) SubscribeVersion(w io.Writer, policy Policy, n int, opts ...SubOption) (*Subscription, error) {
 	return ch.SubscribeVersionSink(newWriterSink(w), policy, n, opts...)
 }
@@ -221,11 +210,10 @@ func (ch *Channel) SubscribeVersionSink(snk Sink, policy Policy, n int, opts ...
 	return ch.subscribePinned(snk, policy, l, ver, opts...)
 }
 
-// subscribePinned attaches snk behind a view sink for an already-resolved
-// lineage version (the server resolves first so it can echo the version).
+// subscribePinned attaches snk through the channel's view of an already-
+// resolved lineage version (the server resolves first so it can echo the
+// version).
 func (ch *Channel) subscribePinned(snk Sink, policy Policy, l *registry.Lineage, ver registry.Version, opts ...SubOption) (*Subscription, error) {
-	if _, err := ch.broker.ctx.RegisterFormat(ver.Format); err != nil {
-		return nil, fmt.Errorf("echan: registering pinned view format: %w", err)
-	}
-	return ch.SubscribeSink(newViewSink(ch, snk, l, ver), policy, opts...)
+	v := ch.viewFor(l, ver)
+	return ch.SubscribeSink(snk, policy, append(opts, func(s *Subscription) { s.view = v })...)
 }

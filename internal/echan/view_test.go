@@ -126,7 +126,10 @@ func TestViewPinnedSubscriber(t *testing.T) {
 		}
 	}
 
-	// Exactly two events crossed the projection path (the v2 and v3 ones).
+	// Exactly two projections ran: the v2 and v3 events, once each for the
+	// one pinned version in use (the v1 event passed through).  The counter
+	// counts projections executed, not pinned deliveries — see
+	// TestViewProjectionShared for N subscribers and two versions.
 	ch.Sync()
 	if n := ch.metrics.viewProjected.Value(); n != 2 {
 		t.Errorf("view_projected_total = %d, want 2", n)

@@ -184,7 +184,7 @@ type decoder struct {
 }
 
 func (d *decoder) getUint(off, size int) (uint64, error) {
-	if off < 0 || size < 1 || off+size > len(d.body) {
+	if off < 0 || size < 1 || off > len(d.body)-size { // not off+size: a hostile 8-byte pointer can overflow it
 		return 0, fmt.Errorf("pbio: read of %d bytes at offset %d exceeds body of %d bytes",
 			size, off, len(d.body))
 	}

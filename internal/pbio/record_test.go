@@ -3,6 +3,7 @@ package pbio
 import (
 	"testing"
 
+	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/platform"
 )
 
@@ -290,5 +291,50 @@ func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProjectionCollapsesToOneCopy pins the plan shape the broker's common
+// case depends on: projecting a head that only appended fields back onto an
+// earlier version of the same platform is one memmove of the older fixed
+// block, and the reverse is one memmove into a larger zeroed block.
+func TestProjectionCollapsesToOneCopy(t *testing.T) {
+	defs := []meta.FieldDef{
+		{Name: "seq", Kind: meta.Unsigned, Class: platform.LongLong},
+		{Name: "value", Kind: meta.Float, Class: platform.Double},
+		{Name: "pad", Kind: meta.Integer, Class: platform.Int, StaticDim: 8},
+		{Name: "tag", Kind: meta.Char, Class: platform.Char, StaticDim: 8},
+		{Name: "g1", Kind: meta.Integer, Class: platform.LongLong},
+		{Name: "g2", Kind: meta.Integer, Class: platform.LongLong},
+	}
+	v1, err := meta.Build("m", platform.X8664, defs[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := meta.Build("m", platform.X8664, defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]*meta.Format{{head, v1}, {v1, head}} {
+		p, err := CompileProjection(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.steps) != 1 || p.steps[0].op != projCopy || p.steps[0].n != v1.Size {
+			t.Errorf("%d -> %d fields: plan %+v, want one %d-byte copy",
+				len(pair[0].Fields), len(pair[1].Fields), p.steps, v1.Size)
+		}
+	}
+	// A byte-order change breaks the run into per-field conversions.
+	be, err := meta.Build("m", platform.Sparc64, defs[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CompileProjection(head, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.steps) != 4 || p.steps[3].op != projCopy { // only the char run still copies
+		t.Errorf("cross-endian plan %+v, want three conversions and the char copy", p.steps)
 	}
 }

@@ -16,11 +16,31 @@ import (
 // projects head events down to a subscriber's pinned version (and, after a
 // resume, old retained events up to it).
 //
+// A destination dynamic array the source lacks is the one added field that
+// cannot simply stay unset: its length field may well exist in the source
+// (a version that adds a second array sized by a count the format already
+// carried, or a view that keeps an array the head dropped), and a copied
+// count of n over an absent array is a frame no decoder accepts.  Such an
+// array is zero-filled to the count its length field holds in the
+// projected record — n zero elements, or n zero sub-records — so every
+// array sharing the length field agrees with it; a length field the source
+// lacks too means count zero.  The zero-fill is bounded per call by
+// pbio.MaxProjectedFill.
+//
 // Conversion follows the canonical-value rules, so a lineage whose policy
 // admits the step never fails here; under PolicyNone a projection across a
 // kind-family crossing (float to string, say) returns an error naming the
 // field.
+//
+// Project is the reference implementation: the broker's data path runs
+// compiled pbio.Projection plans, which are tested byte for byte against
+// EncodeRecordBody(Project(DecodeRecordBody(body), dst)).
 func Project(rec *pbio.Record, dst *meta.Format) (*pbio.Record, error) {
+	fill := pbio.MaxProjectedFill
+	return project(rec, dst, &fill)
+}
+
+func project(rec *pbio.Record, dst *meta.Format, fill *int) (*pbio.Record, error) {
 	if rec.Format().ID() == dst.ID() {
 		return rec, nil
 	}
@@ -29,16 +49,28 @@ func Project(rec *pbio.Record, dst *meta.Format) (*pbio.Record, error) {
 	for i := range dst.Fields {
 		df := &dst.Fields[i]
 		si := src.FieldByName(df.Name)
+		var pv any
 		if si < 0 {
-			continue // added in dst's version: zero-filled
-		}
-		v, ok := rec.Get(df.Name)
-		if !ok {
-			continue
-		}
-		pv, err := projectValue(v, &src.Fields[si], df)
-		if err != nil {
-			return nil, fmt.Errorf("registry: project %q field %q: %w", src.Name, df.Name, err)
+			if !df.IsDynamic() {
+				continue // added in dst's version: zero-filled
+			}
+			zeros, err := zeroArray(out, df, fill)
+			if err != nil {
+				return nil, fmt.Errorf("registry: project %q field %q: %w", src.Name, df.Name, err)
+			}
+			if zeros == nil {
+				continue
+			}
+			pv = zeros
+		} else {
+			v, ok := rec.Get(df.Name)
+			if !ok {
+				continue
+			}
+			var err error
+			if pv, err = projectValue(v, &src.Fields[si], df, fill); err != nil {
+				return nil, fmt.Errorf("registry: project %q field %q: %w", src.Name, df.Name, err)
+			}
 		}
 		if err := out.Set(df.Name, pv); err != nil {
 			return nil, fmt.Errorf("registry: project %q: %w", src.Name, err)
@@ -47,17 +79,40 @@ func Project(rec *pbio.Record, dst *meta.Format) (*pbio.Record, error) {
 	return out, nil
 }
 
+// zeroArray builds the zero-filled value of a destination dynamic array the
+// source lacks, sized by the already-projected length field (nil when that
+// is unset or zero: the array stays unset and encodes as empty).
+func zeroArray(out *pbio.Record, df *meta.Field, fill *int) (any, error) {
+	v, _ := out.Get(df.LengthField)
+	var count int64
+	switch x := v.(type) {
+	case int64:
+		count = x
+	case uint64:
+		count = int64(x) // past MaxInt64 goes negative and is refused below
+	}
+	elem := df.Size
+	if df.Kind == meta.Struct {
+		elem = df.Sub.Size
+	}
+	n, err := pbio.FillCount(count, elem, fill)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	return pbio.ZeroArray(df, n), nil
+}
+
 // projectValue converts one canonical value from the source field's type
 // to something Set on the destination field accepts.
-func projectValue(v any, sf, df *meta.Field) (any, error) {
+func projectValue(v any, sf, df *meta.Field, fill *int) (any, error) {
 	if df.Kind == meta.Struct {
 		switch x := v.(type) {
 		case *pbio.Record:
-			return Project(x, df.Sub)
+			return project(x, df.Sub, fill)
 		case []*pbio.Record:
 			out := make([]*pbio.Record, len(x))
 			for i, r := range x {
-				pr, err := Project(r, df.Sub)
+				pr, err := project(r, df.Sub, fill)
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/open-metadata/xmit/internal/meta"
@@ -10,7 +11,8 @@ import (
 
 // TestProjectDown: a head record projected onto an older pinned view drops
 // the added fields and keeps the shared ones, through a real encode/decode
-// round-trip (the path the broker's view sink runs per event).
+// round-trip (the reference path the broker's compiled plans are tested
+// against).
 func TestProjectDown(t *testing.T) {
 	v1 := sensorV1(t) // id, value
 	v3 := sensorV3(t) // id, value, unit, seq
@@ -183,5 +185,95 @@ func TestProjectKindCrossingFails(t *testing.T) {
 	}
 	if _, err := Project(rec, b); err == nil {
 		t.Fatal("float->string projection succeeded")
+	}
+}
+
+// TestProjectAddedArrayOnExistingLength is the ISSUE 16 regression.  Adding a
+// dynamic array sized by a field the format already carried is admitted by
+// every policy, so projection must produce a frame the new version decodes:
+// the absent array is zero-filled to the count its length field declares, in
+// both directions and for arrays sharing the field.
+func TestProjectAddedArrayOnExistingLength(t *testing.T) {
+	build := func(defs ...meta.FieldDef) *meta.Format {
+		t.Helper()
+		f, err := meta.Build("m", platform.X8664, defs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	n := meta.FieldDef{Name: "n", Kind: meta.Integer, Class: platform.Int}
+	x := meta.FieldDef{Name: "x", Kind: meta.Float, Class: platform.Double}
+	a := meta.FieldDef{Name: "a", Kind: meta.Float, Class: platform.Double, LengthField: "n"}
+	b := meta.FieldDef{Name: "b", Kind: meta.Integer, Class: platform.Short, LengthField: "n"}
+	sub := build(meta.FieldDef{Name: "q", Kind: meta.Integer, Class: platform.Int}, meta.FieldDef{Name: "s", Kind: meta.String})
+	r := meta.FieldDef{Name: "r", Kind: meta.Struct, Sub: sub, LengthField: "n"}
+	k := meta.FieldDef{Name: "k", Kind: meta.Integer, Class: platform.Int}
+	late := meta.FieldDef{Name: "late", Kind: meta.Integer, Class: platform.Int, LengthField: "k"}
+
+	v1 := build(n, x)
+	v2 := build(n, x, a, r, k, late)
+	ctx := pbio.NewContext()
+	roundTrip := func(rec *pbio.Record, dst *meta.Format) *pbio.Record {
+		t.Helper()
+		body, err := ctx.EncodeRecordBody(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := ctx.DecodeRecordBody(rec.Format(), body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := Project(dec, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ctx.EncodeRecordBody(nil, proj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ctx.DecodeRecordBody(dst, out)
+		if err != nil {
+			t.Fatalf("projected frame does not decode: %v", err)
+		}
+		return got
+	}
+
+	old := pbio.NewRecord(v1)
+	old.Set("n", 3)
+	old.Set("x", 1.5)
+	up := roundTrip(old, v2)
+	if v, _ := up.Get("a"); len(v.([]float64)) != 3 {
+		t.Errorf("a = %v, want three zeros", v)
+	}
+	if v, _ := up.Get("r"); len(v.([]*pbio.Record)) != 3 {
+		t.Errorf("r = %v, want three zero records", v)
+	}
+	if v, _ := up.Get("late"); len(v.([]int64)) != 0 {
+		t.Errorf("late = %v, want empty: its length field is absent from the source too", v)
+	}
+	if v, _ := up.Get("n"); v != int64(3) {
+		t.Errorf("n = %v, want 3", v)
+	}
+
+	// Down onto a view that still has a second array on a length field the
+	// head kept: the head dropped b, the view's b must still agree with n.
+	headF, viewF := build(n, a), build(n, a, b)
+	head := pbio.NewRecord(headF)
+	head.Set("a", []float64{1, 2})
+	down := roundTrip(head, viewF)
+	if v, _ := down.Get("b"); len(v.([]int64)) != 2 {
+		t.Errorf("b = %v, want two zeros beside a's two elements", v)
+	}
+	if v, _ := down.Get("a"); len(v.([]float64)) != 2 {
+		t.Errorf("a = %v", v)
+	}
+
+	// Counts nothing could carry are refused, naming the array.
+	for _, bad := range []int64{-1, 1 << 30} {
+		old.Set("n", bad)
+		if _, err := Project(old, v2); err == nil || !strings.Contains(err.Error(), `field "a"`) {
+			t.Errorf("n = %d: Project error %v, want one naming field a", bad, err)
+		}
 	}
 }
