@@ -11,8 +11,20 @@ import (
 
 // BenchmarkFanout measures the publish hot path against discard subscribers
 // at the widths of the fan-out experiment; -benchtime=1x makes it a smoke
-// test in CI.
+// test in CI.  The subscribers are io.Writers, so every event goes through
+// a subscription queue and a writer goroutine.
 func BenchmarkFanout(b *testing.B) {
+	benchFanout(b, func(ch *Channel) (*Subscription, error) { return ch.Subscribe(io.Discard, Block) })
+}
+
+// BenchmarkFanoutDirect is BenchmarkFanout with in-process sinks, which the
+// shard workers call directly: the same fan-out minus the per-subscriber
+// queue and wake-up.
+func BenchmarkFanoutDirect(b *testing.B) {
+	benchFanout(b, func(ch *Channel) (*Subscription, error) { return ch.SubscribeSink(discardSink{}, Block) })
+}
+
+func benchFanout(b *testing.B, subscribe func(*Channel) (*Subscription, error)) {
 	for _, subs := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			broker := NewBroker(WithRegistry(obs.NewRegistry()))
@@ -22,7 +34,7 @@ func BenchmarkFanout(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < subs; i++ {
-				if _, err := ch.Subscribe(io.Discard, Block); err != nil {
+				if _, err := subscribe(ch); err != nil {
 					b.Fatal(err)
 				}
 			}

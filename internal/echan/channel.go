@@ -209,7 +209,7 @@ func WithQueue(n int) ChannelOption {
 // WithShards sets the number of fan-out shards for this channel (default:
 // the broker's default, which scales with GOMAXPROCS).  One shard
 // reproduces the single-worker fan-out; more shards split the subscriber
-// set so the per-subscriber offer loops run on multiple cores.
+// set so the per-subscriber deliveries run on multiple cores.
 func WithShards(n int) ChannelOption {
 	return func(ch *Channel) {
 		if n > 0 {
@@ -644,22 +644,34 @@ func SubAfter(gen uint64) SubOption {
 	}
 }
 
+// queuedOnly marks a subscription whose sink the broker itself wrapped
+// around an io.Writer (Subscribe, SubscribeVersion, the daemon's socket
+// subscribers): a write there can park in the kernel for as long as the
+// peer likes, so it never runs on the shard worker — every event goes
+// through the queue to the subscription's own writer goroutine.
+func queuedOnly(s *Subscription) { s.queued = true }
+
 // Subscribe attaches an io.Writer to the channel under the given
 // backpressure policy; frames reach w byte-for-byte (the classic subscriber
 // wire).  w's Write must be safe for use from one goroutine (a net.Conn or
-// os.File is fine).  See SubscribeSink for the delivery semantics.
+// os.File is fine).  See SubscribeSink for the delivery semantics; writes
+// to w always come from the subscription's own writer goroutine.
 func (ch *Channel) Subscribe(w io.Writer, policy Policy, opts ...SubOption) (*Subscription, error) {
-	return ch.SubscribeSink(newWriterSink(w), policy, opts...)
+	return ch.SubscribeSink(newWriterSink(w), policy, append(opts, queuedOnly)...)
 }
 
 // SubscribeSink attaches a Sink to the channel under the given backpressure
 // policy.  The subscription is placed on the least-loaded shard
 // (rebalancing the partition as subscribers come and go) and stays there
 // for its lifetime, which is what preserves per-subscriber FIFO ordering.
-// Frames are delivered by a dedicated writer goroutine: format
-// announcements the sink hasn't seen (for in-band channels), each followed
-// by data frames — so a subscriber joining mid-stream always receives the
-// formats its first event needs before that event's data frame.
+// The sink receives the format announcements it hasn't seen (for in-band
+// channels), each followed by data frames — so a subscriber joining
+// mid-stream always receives the formats its first event needs before that
+// event's data frame.  Who calls the sink follows from the policy (see
+// Subscription.offerRun): a Block subscriber that is caught up is called
+// straight from its shard's worker, one hand-off after the publish; one
+// that has fallen behind, and every Drop subscriber, is drained from its
+// queue by a dedicated writer goroutine.
 func (ch *Channel) SubscribeSink(snk Sink, policy Policy, opts ...SubOption) (*Subscription, error) {
 	if ch.closed.Load() {
 		return nil, ErrChannelClosed
@@ -675,9 +687,9 @@ func (ch *Channel) SubscribeSink(snk Sink, policy Policy, opts ...SubOption) (*S
 	for _, o := range opts {
 		o(s)
 	}
-	// Writer-goroutine scratch, sized once so the batched drain never
-	// allocates: the pop is capped at cap(s.batch) even if the ring is
-	// later grown for a resume replay.
+	// Delivery scratch, sized once so the batched drain never allocates:
+	// a delivery is capped at cap(s.batch) events even if the ring is later
+	// grown for a resume replay.
 	batchN := ch.batchN
 	if batchN > len(s.ring) {
 		batchN = len(s.ring)
@@ -719,7 +731,10 @@ func (ch *Channel) SubscribeSink(snk Sink, policy Policy, opts ...SubOption) (*S
 // head.  The queue is grown to cover the whole missed span first, so the
 // replay offers can never block — the writer goroutine draining them may
 // itself be stalled behind a slow or gated sink, and attachResumed holds
-// locks a blocked offer would deadlock against.  Callers hold ch.mu.
+// locks a blocked offer would deadlock against.  The replay is always
+// queued, never delivered here: the shard worker finds the queue non-empty
+// and queues the live events behind it, so replayed events precede live
+// ones whichever goroutine ends up running the sink.  Callers hold ch.mu.
 func (ch *Channel) attachResumed(s *Subscription, target *shard) error {
 	ch.retMu.Lock()
 	head := ch.gen.Load()
@@ -861,14 +876,24 @@ func (ch *Channel) Stats() ChannelStats {
 	}
 }
 
-// Subscription is one sink's attachment to a channel: a bounded ring of
-// pending events drained by a dedicated writer goroutine.  It lives on
-// exactly one of the channel's shards, whose worker runs the offer loop.
+// Subscription is one sink's attachment to a channel.  It lives on exactly
+// one of the channel's shards, whose worker is the only goroutine that
+// offers it events, and it has two ways to deliver them: directly, on the
+// worker, when it is a caught-up in-process Block subscriber, or through a
+// bounded ring of pending events drained by its own writer goroutine (see
+// offerRun).
+//
+// The inflight token serialises the two.  Whoever holds it — the writer
+// between pop and write-complete, the shard worker for the length of a
+// direct delivery — owns the sink and the delivery state below (sent,
+// viewAnnounced, the gens/frames scratch); it is taken and returned under
+// mu, which is the hand-off fence between the two goroutines.
 type Subscription struct {
 	ch       *Channel
 	shard    *shard
 	sink     Sink
 	policy   Policy
+	queued   bool   // broker-wrapped io.Writer sink: never run it on the shard worker
 	afterGen uint64 // publish generation at attach; earlier events are skipped
 
 	resume      bool   // SubAfter given: replay retained events first
@@ -879,22 +904,24 @@ type Subscription struct {
 	ring     []*event
 	head     int
 	count    int
-	inflight bool // writer is between pop and write-complete
+	inflight bool // a delivery is in progress (writer or shard worker)
+	syncers  int  // goroutines parked in Sync
 	closed   bool
 	failed   error
 
-	sent int // formats already written; writer goroutine only
+	sent int // formats already written; inflight holder only
 	done chan struct{}
 
 	// view is set for a version-pinned subscription (see view.go): data
 	// frames come from it, upstream announcements are skipped, and its one
 	// announcement goes out before the first data frame (viewAnnounced;
-	// writer goroutine only).
+	// inflight holder only).
 	view          *view
 	viewAnnounced bool
 
-	// Writer-goroutine scratch for the batched drain, preallocated at
-	// subscribe so steady-state delivery stays allocation-free.
+	// Delivery scratch, preallocated at subscribe so steady-state delivery
+	// stays allocation-free: batch is the writer's pop buffer, gens and
+	// frames belong to the inflight holder.
 	batch  []*event
 	gens   []uint64
 	frames [][]byte
@@ -919,21 +946,86 @@ func (s *Subscription) Err() error {
 // attachGen is the deliverySink seam: events at or before it are skipped.
 func (s *Subscription) attachGen() uint64 { return s.afterGen }
 
-// offer enqueues one event under the subscription's policy, reporting
-// whether it was accepted.  Per the deliverySink contract, the caller's
-// reference is borrowed; acceptance takes the subscription's own reference.
-func (s *Subscription) offer(ev *event) bool {
+// offerRun is the deliverySink seam: the shard worker hands over a run of
+// events.  A Block subscriber whose sink is the embedder's own, with nothing
+// queued and no delivery in flight, is caught up, and the worker delivers
+// the run into the sink itself — no queue, no second goroutine to wake.
+// That changes when a slow Block sink is felt, not whether: it holds the
+// worker at once instead of a queue length later.  Everything else is
+// enqueued for the writer goroutine: Drop subscribers always (their
+// contract is that a stalled consumer never holds the worker), broker-
+// wrapped io.Writer sinks always (see queuedOnly), and a Block subscriber
+// for as long as it is behind — the worker only goes direct again once the
+// writer has drained the queue and returned the token, which is what keeps
+// delivery FIFO across the transitions.
+func (s *Subscription) offerRun(evs []*event) {
+	if s.policy == Block && !s.queued && s.deliverDirect(evs) {
+		return
+	}
+	for _, ev := range evs {
+		s.offer(ev)
+	}
+}
+
+// deliverDirect delivers a run on the calling (shard worker) goroutine if
+// the subscription is caught up, reporting whether it took the run.  The
+// events are only borrowed: the shard's references outlive the call and
+// nothing is queued, so no reference is taken and depth does not move.
+func (s *Subscription) deliverDirect(evs []*event) bool {
 	s.mu.Lock()
-	if s.closed || s.failed != nil {
+	if s.count > 0 || s.inflight || s.closed {
 		s.mu.Unlock()
 		return false
+	}
+	s.inflight = true
+	s.mu.Unlock()
+
+	var err error
+	for len(evs) > 0 && err == nil {
+		n := min(len(evs), cap(s.batch))
+		err = s.deliverBatch(evs[:n])
+		evs = evs[n:]
+	}
+	s.endDelivery(err)
+	return true
+}
+
+// endDelivery returns the inflight token, failing the subscription if the
+// delivery did.  The detach that follows a failure is the writer
+// goroutine's job on either path (see run): the shard worker must not take
+// ch.mu, which a resuming subscriber holds while waiting on a publisher
+// that is itself waiting on this worker.  Waiters are woken only when there
+// can be any — the parked writer of a caught-up subscriber has nothing to
+// do until the subscription closes, and waking it per delivery is the
+// hand-off the direct path exists to avoid.
+func (s *Subscription) endDelivery(err error) {
+	s.mu.Lock()
+	s.inflight = false
+	if err != nil {
+		s.failed = err
+		s.closed = true
+	}
+	if s.closed || s.syncers > 0 {
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// offer enqueues one event under the subscription's policy; a closed
+// subscription, or a full queue under a drop policy, refuses it.  Per the
+// deliverySink contract, the caller's reference is borrowed; acceptance
+// takes the subscription's own reference.
+func (s *Subscription) offer(ev *event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
 	}
 	if s.count == len(s.ring) {
 		switch s.policy {
 		case DropNewest:
-			s.mu.Unlock()
 			s.ch.metrics.droppedNewest.Inc()
-			return false
+			return
 		case DropOldest:
 			old := s.ring[s.head]
 			s.ring[s.head] = nil
@@ -944,12 +1036,11 @@ func (s *Subscription) offer(ev *event) bool {
 			old.release()
 		case Block:
 			s.ch.metrics.blockWaits.Inc()
-			for s.count == len(s.ring) && !s.closed && s.failed == nil {
+			for s.count == len(s.ring) && !s.closed {
 				s.cond.Wait()
 			}
-			if s.closed || s.failed != nil {
-				s.mu.Unlock()
-				return false
+			if s.closed {
+				return
 			}
 		}
 	}
@@ -958,30 +1049,33 @@ func (s *Subscription) offer(ev *event) bool {
 	s.count++
 	s.ch.metrics.depth.Add(1)
 	s.cond.Broadcast()
-	s.mu.Unlock()
-	return true
 }
 
-// run is the subscription's writer loop: pop every ready event up to the
-// write-batch cap, emit any missing format announcements, coalesce each
-// run of data frames into one vectored sink write, release the events.  It
-// exits once the subscription is closed and drained, or on the first write
-// error (discarding whatever remains queued).
+// run is the subscription's writer loop: take the inflight token, pop every
+// ready event up to the write-batch cap, deliver, release the events.  A
+// caught-up direct subscriber's writer just stays parked here.  The loop
+// exits once the subscription is closed and drained and no delivery is in
+// flight on either goroutine — so done closing means the sink is no longer
+// being called — or after a delivery failed on either path, in which case
+// it discards whatever remains queued and detaches the subscription.
 func (s *Subscription) run() {
 	defer close(s.done)
 	for {
 		s.mu.Lock()
-		for s.count == 0 && !s.closed {
+		for s.inflight || (s.count == 0 && !s.closed) {
 			s.cond.Wait()
+		}
+		if s.failed != nil {
+			s.mu.Unlock()
+			s.discardQueue()
+			s.ch.removeSub(s)
+			return
 		}
 		if s.count == 0 { // closed and drained
 			s.mu.Unlock()
 			return
 		}
-		n := s.count
-		if n > cap(s.batch) {
-			n = cap(s.batch)
-		}
+		n := min(s.count, cap(s.batch))
 		batch := s.batch[:0]
 		for i := 0; i < n; i++ {
 			batch = append(batch, s.ring[s.head])
@@ -999,34 +1093,21 @@ func (s *Subscription) run() {
 			ev.release()
 			batch[i] = nil
 		}
-
-		s.mu.Lock()
-		s.inflight = false
-		if err != nil {
-			s.failed = err
-			s.closed = true
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-
-		if err != nil {
-			s.discardQueue()
-			s.ch.removeSub(s)
-			return
-		}
+		s.endDelivery(err)
 	}
 }
 
-// deliverBatch writes a run of events to the sink.  Format announcements
-// interleave exactly where a one-event-at-a-time loop would put them: fmtIdx
-// is non-decreasing in delivery order, so each announcement boundary flushes
-// the data frames gathered so far, writes the announcements, and starts a
-// new run — the wire bytes are identical to unbatched delivery, only the
-// write calls are fewer.  A version-pinned subscription takes each event's
-// frame from its view instead (the projected frame every subscriber of that
-// version shares, or the event's own when it passes through) and skips the
-// upstream announcements; flushRun writes the view's single announcement
-// ahead of its first data frame.
+// deliverBatch writes a run of events to the sink; the caller holds the
+// inflight token.  Format announcements interleave exactly where a
+// one-event-at-a-time loop would put them: fmtIdx is non-decreasing in
+// delivery order, so each announcement boundary flushes the data frames
+// gathered so far, writes the announcements, and starts a new run — the
+// wire bytes are identical to unbatched delivery, only the write calls are
+// fewer.  A version-pinned subscription takes each event's frame from its
+// view instead (the projected frame every subscriber of that version
+// shares, or the event's own when it passes through) and skips the upstream
+// announcements; flushRun writes the view's single announcement ahead of
+// its first data frame.
 func (s *Subscription) deliverBatch(evs []*event) error {
 	head := s.ch.gen.Load()
 	gens := s.gens[:0]
@@ -1060,8 +1141,10 @@ func (s *Subscription) deliverBatch(evs []*event) error {
 	return s.flushRun(gens, frames, head, evs[runStart:])
 }
 
-// flushRun writes one announcement-free run of data frames: a single event
-// through WriteEvent, a longer run through the sink's vectored WriteEvents.
+// flushRun writes one announcement-free run of data frames through the
+// sink's WriteEvents and accounts for it: one sink write, len(evs)
+// deliveries, and their publish-to-delivered latencies folded into as few
+// histogram updates as their spread allows.
 func (s *Subscription) flushRun(gens []uint64, frames [][]byte, head uint64, evs []*event) error {
 	if len(frames) == 0 {
 		return nil
@@ -1078,20 +1161,16 @@ func (s *Subscription) flushRun(gens []uint64, frames [][]byte, head uint64, evs
 		s.viewAnnounced = true
 	}
 	s.ch.metrics.sinkWrites.Inc()
-	var err error
-	if len(frames) == 1 {
-		err = s.sink.WriteEvent(gens[0], head, frames[0])
-	} else {
-		err = s.sink.WriteEvents(gens, head, frames)
-	}
-	if err != nil {
+	if err := s.sink.WriteEvents(gens, head, frames); err != nil {
 		return err
 	}
 	s.ch.metrics.delivered.Add(int64(len(evs)))
 	now := time.Now()
+	lat := s.ch.metrics.fanout.Run()
 	for _, ev := range evs {
-		s.ch.metrics.fanout.Record(now.Sub(ev.start).Nanoseconds())
+		lat.Record(now.Sub(ev.start).Nanoseconds())
 	}
+	lat.Flush()
 	return nil
 }
 
@@ -1111,19 +1190,23 @@ func (s *Subscription) discardQueue() {
 }
 
 // Sync blocks until the subscription's queue is empty and no delivery is in
-// flight (or the subscription has failed).
+// flight on either path (or the subscription has failed).
 func (s *Subscription) Sync() {
 	s.mu.Lock()
+	s.syncers++
 	for (s.count > 0 || s.inflight) && s.failed == nil {
 		s.cond.Wait()
 	}
+	s.syncers--
 	s.mu.Unlock()
 }
 
 // abort tears the subscription down without draining: the queue is
 // discarded and, if the sink is closable, it is closed to unblock any write
-// in flight.  Used by Channel.Close so shutdown cannot hang on a consumer
-// that stopped reading.
+// in flight — on the writer goroutine or, for a direct delivery, on the
+// shard worker.  It returns once the sink is no longer being called.  Used
+// by Channel.Close so shutdown cannot hang on a consumer that stopped
+// reading.
 func (s *Subscription) abort() {
 	s.mu.Lock()
 	if !s.closed {
@@ -1140,8 +1223,9 @@ func (s *Subscription) abort() {
 }
 
 // Close detaches the subscription: already-queued events are still written,
-// then the writer exits.  It blocks until the writer is done and returns
-// the subscription's terminal write error, if any.
+// then the writer exits.  It blocks until the writer is done and any direct
+// delivery has returned from the sink, and returns the subscription's
+// terminal write error, if any.
 func (s *Subscription) Close() error {
 	s.mu.Lock()
 	if !s.closed {

@@ -7,7 +7,7 @@ import (
 
 // derivedSink feeds a derived channel from its parent's stream through the
 // same deliverySink contract local subscriptions use: it attaches to one of
-// the parent's shards, and the shard worker offers it every event.  An
+// the parent's shards, and the shard worker offers it every run.  An
 // accepted event — one whose decoded record matches the child's filter — is
 // enqueued into the child's own shards, which take their own references
 // (the parent's frame is shared; filtering adds a decode but no copy).
@@ -16,7 +16,7 @@ import (
 // off the publisher's goroutine; the cost is one decode per derived channel
 // per event rather than one per event, the usual price of moving work off
 // the producer.  Backpressure remains transitive: a Block-policy subscriber
-// of the child blocks the child's shard ring, which blocks this offer,
+// of the child blocks the child's shard ring, which blocks this offerRun,
 // which blocks the parent's shard worker and ultimately the publisher.
 type derivedSink struct {
 	child *Channel
@@ -25,21 +25,24 @@ type derivedSink struct {
 
 func (d *derivedSink) attachGen() uint64 { return d.gen }
 
-func (d *derivedSink) offer(ev *event) bool {
+func (d *derivedSink) offerRun(evs []*event) {
 	child := d.child
-	if child.closed.Load() || ev.f == nil {
-		// Opaque payloads cannot feed filters; closed children take nothing.
-		return false
+	if child.closed.Load() {
+		return // closed children take nothing
 	}
-	body := ev.buf.B[transport.FrameHeaderSize+pbio.HeaderSize:]
-	rec, err := child.broker.ctx.DecodeRecordBody(ev.f, body)
-	if err != nil {
-		return false // undecodable for filtering; the child sees nothing
+	for _, ev := range evs {
+		if ev.f == nil {
+			continue // opaque payloads cannot feed filters
+		}
+		body := ev.buf.B[transport.FrameHeaderSize+pbio.HeaderSize:]
+		rec, err := child.broker.ctx.DecodeRecordBody(ev.f, body)
+		if err != nil {
+			continue // undecodable for filtering; the child sees nothing
+		}
+		if !child.filter.Match(rec) {
+			continue
+		}
+		child.metrics.published.Inc()
+		child.enqueueShards(ev)
 	}
-	if !child.filter.Match(rec) {
-		return false
-	}
-	child.metrics.published.Inc()
-	child.enqueueShards(ev)
-	return true
 }

@@ -170,7 +170,7 @@ func WithDefaultQueue(n int) BrokerOption {
 
 // WithDefaultShards sets the default fan-out shard count for channels
 // created without an explicit WithShards.  The default scales with the
-// hardware: runtime.GOMAXPROCS(0), so a channel's offer loops can occupy
+// hardware: runtime.GOMAXPROCS(0), so a channel's fan-out can occupy
 // every core.  Use 1 to reproduce the single-worker fan-out.
 func WithDefaultShards(n int) BrokerOption {
 	return func(b *Broker) {

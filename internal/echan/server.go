@@ -536,7 +536,8 @@ func (s *Server) serveSubscriber(conn net.Conn, rd *bufio.Reader, cmd Command) {
 	// announcement is gated with everything else) and echoes the resolved
 	// version in the response.
 	ready := make(chan struct{})
-	gated := gatedSink{Sink: base, ready: ready}
+	gated := gatedSink{sink: base, ready: ready}
+	opts = append(opts, queuedOnly)
 	var sub *Subscription
 	var ver registry.Version
 	if cmd.HasVer {

@@ -8,20 +8,27 @@ import (
 )
 
 // shard owns one slice of a channel's delivery-sink set: a bounded ring of
-// published events drained by a dedicated worker goroutine that runs the
-// per-sink offer loop for its slice.  Sharding moves the O(sinks) fan-out
+// published events drained by a dedicated worker goroutine that offers each
+// popped run to the sinks of its slice.  Sharding moves the O(sinks) fan-out
 // work off the publisher's goroutine — publish costs O(shards) ring
-// enqueues — and lets the offer loops of a wide subscriber set run on every
+// enqueues — and lets the fan-out of a wide subscriber set run on every
 // core instead of one.  Everything a channel feeds — local subscriptions,
 // derived channels, mesh link subscribers — attaches here through the one
 // deliverySink contract.
 //
+// The worker is also where a caught-up in-process Block subscriber's sink
+// runs (Subscription.offerRun's direct drain): such an event crosses one
+// hand-off, publisher → shard ring → sink, and the parallelism of a wide
+// fan-out is the shard count.  Everything else — Drop subscribers, socket
+// subscribers, Block subscribers that have fallen behind — is queued on the
+// subscription and drained by its own writer goroutine.
+//
 // Ordering: a sink belongs to exactly one shard for its lifetime, the ring
 // is FIFO, and the worker offers events to its sinks in ring order, so
 // per-sink FIFO delivery is preserved.  Backpressure is transitive: a
-// Block-policy subscriber with a full queue blocks the shard worker, the
-// shard ring fills, and the publisher blocks on the next enqueue — lossless
-// end to end, with bounded memory.
+// Block-policy subscriber that is slow (caught up) or has a full queue
+// (behind) holds the shard worker, the shard ring fills, and the publisher
+// blocks on the next enqueue — lossless end to end, with bounded memory.
 type shard struct {
 	ch  *Channel
 	idx int
@@ -35,11 +42,12 @@ type shard struct {
 	ring   []*event
 	head   int
 	count  int
-	busy   bool // worker is between pop and offer-loop completion
+	busy   bool // worker is between pop and fan-out completion
 	closed bool
 	done   chan struct{}
 
 	batch []*event // worker scratch: the ring slice popped per drain
+	late  []*event // worker scratch: a run trimmed for a sink that attached inside it
 
 	events *obs.Counter // events this shard's worker has fanned out
 }
@@ -50,6 +58,7 @@ func newShard(ch *Channel, idx, ring int, events *obs.Counter) *shard {
 		idx:    idx,
 		ring:   make([]*event, ring),
 		batch:  make([]*event, 0, ring),
+		late:   make([]*event, 0, ring),
 		done:   make(chan struct{}),
 		events: events,
 	}
@@ -84,11 +93,11 @@ func (sh *shard) enqueue(ev *event) bool {
 
 // run is the shard's worker loop: pop every ready event, offer the whole
 // run to each sink in turn (ring order per sink, so per-sink FIFO holds),
-// release the shard's references.  Draining in batches is what feeds the
-// vectored write path — a subscription offered N events back to back has N
-// frames queued when its writer wakes, and coalesces them into one writev.
-// On close the worker drains the ring, releasing undelivered events, and
-// exits.
+// release the shard's references.  Draining in runs is what feeds the
+// vectored write path — a subscription handed N events at once delivers
+// them as one WriteEvents, on this goroutine when it is caught up or from
+// its queue when it is not.  On close the worker drains the ring, releasing
+// undelivered events, and exits.
 func (sh *shard) run() {
 	defer close(sh.done)
 	for {
@@ -130,28 +139,45 @@ func (sh *shard) run() {
 }
 
 // fanOut offers a run of events to every sink in the shard, one sink at a
-// time so each sink's queue fills back to back (the batched-drain shape the
-// subscription writer coalesces).  Per-sink delivery order is the ring
-// order, exactly as the one-event-at-a-time loop produced; cross-sink
-// interleaving was never part of the contract.  Sinks that attached after
-// an event was published (gen <= attachGen) skip it: a mid-stream joiner
-// sees only events published after its attach.  The shard's references are
-// live for each offer; sinks that retain an event take their own (the
-// deliverySink contract).
+// time so each sink sees the run whole (the shape the vectored write
+// coalesces).  Per-sink delivery order is the ring order, exactly as the
+// one-event-at-a-time loop produced; cross-sink interleaving was never part
+// of the contract.  A sink that attached after some of the run was
+// published (gen <= attachGen) gets the run without those events: a
+// mid-stream joiner sees only events published after its attach.  The
+// shard's references are live for each offerRun; sinks that retain an event
+// take their own (the deliverySink contract).
 func (sh *shard) fanOut(evs []*event) {
+	// Concurrent publishers may enqueue slightly out of generation order,
+	// so the run's oldest generation is found, not assumed to be the first.
+	oldest := evs[0].gen
+	for _, ev := range evs[1:] {
+		if ev.gen < oldest {
+			oldest = ev.gen
+		}
+	}
 	for _, snk := range *sh.sinks.Load() {
 		ag := snk.attachGen()
+		if ag < oldest {
+			snk.offerRun(evs)
+			continue
+		}
+		late := sh.late[:0]
 		for _, ev := range evs {
-			if ev.gen <= ag {
-				continue
+			if ev.gen > ag {
+				late = append(late, ev)
 			}
-			snk.offer(ev)
+		}
+		if len(late) > 0 {
+			snk.offerRun(late)
+			clear(late)
 		}
 	}
 	sh.events.Add(int64(len(evs)))
 }
 
-// sync blocks until the ring is empty and no offer loop is in flight.
+// sync blocks until the ring is empty and no fan-out (direct deliveries
+// included) is in flight.
 func (sh *shard) sync() {
 	sh.mu.Lock()
 	for sh.count > 0 || sh.busy {

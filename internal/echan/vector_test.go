@@ -158,7 +158,7 @@ func TestBatchedDrainChaosSoak(t *testing.T) {
 
 // TestShardedFanoutBatchedBurstAllocFree extends the zero-allocation gate
 // to the batched drain: a 64-event burst per iteration forces whole-run
-// WriteEvents deliveries (not the single-event fast path), and the
+// WriteEvents deliveries (not a batch of one), and the
 // publish+drain cycle must still allocate nothing in steady state.
 func TestShardedFanoutBatchedBurstAllocFree(t *testing.T) {
 	if raceEnabled {

@@ -198,7 +198,7 @@ func (ch *Channel) ResolveView(n int) (*registry.Lineage, registry.Version, erro
 // evolved the format.  n == 0 pins the current head (a snapshot: unlike a
 // plain Subscribe, later evolutions are projected back down to it).
 func (ch *Channel) SubscribeVersion(w io.Writer, policy Policy, n int, opts ...SubOption) (*Subscription, error) {
-	return ch.SubscribeVersionSink(newWriterSink(w), policy, n, opts...)
+	return ch.SubscribeVersionSink(newWriterSink(w), policy, n, append(opts, queuedOnly)...)
 }
 
 // SubscribeVersionSink is SubscribeVersion at the Sink seam.

@@ -42,20 +42,15 @@ func (c *captureSink) WriteFormat(frame []byte) error {
 	return nil
 }
 
-func (c *captureSink) WriteEvent(gen, _ uint64, frame []byte) error {
+func (c *captureSink) WriteEvents(gens []uint64, _ uint64, frames [][]byte) error {
 	c.mu.Lock()
-	if len(c.formats) == 0 {
-		c.preAnn++
+	for i, frame := range frames {
+		if len(c.formats) == 0 {
+			c.preAnn++
+		}
+		c.frames = append(c.frames, seenFrame{at: &frame[0], gen: gens[i], data: append([]byte(nil), frame...)})
 	}
-	c.frames = append(c.frames, seenFrame{at: &frame[0], gen: gen, data: append([]byte(nil), frame...)})
 	c.mu.Unlock()
-	return nil
-}
-
-func (c *captureSink) WriteEvents(gens []uint64, head uint64, frames [][]byte) error {
-	for i, f := range frames {
-		c.WriteEvent(gens[i], head, f)
-	}
 	return nil
 }
 
@@ -286,11 +281,6 @@ type stallSink struct {
 	gate chan struct{}
 }
 
-func (s *stallSink) WriteEvent(gen, head uint64, frame []byte) error {
-	<-s.gate
-	return s.captureSink.WriteEvent(gen, head, frame)
-}
-
 func (s *stallSink) WriteEvents(gens []uint64, head uint64, frames [][]byte) error {
 	<-s.gate
 	return s.captureSink.WriteEvents(gens, head, frames)
@@ -475,5 +465,4 @@ func TestPinnedDeliveryAllocs(t *testing.T) {
 type discardSink struct{}
 
 func (discardSink) WriteFormat([]byte) error                     { return nil }
-func (discardSink) WriteEvent(_, _ uint64, _ []byte) error       { return nil }
 func (discardSink) WriteEvents([]uint64, uint64, [][]byte) error { return nil }

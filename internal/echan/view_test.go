@@ -381,7 +381,9 @@ func TestLineageVerbs(t *testing.T) {
 // TestLineageVerbsNoRegistry: a broker without a schema registry answers the
 // registry verbs (and version pins) with a clear ERR instead of hanging.
 func TestLineageVerbsNoRegistry(t *testing.T) {
-	srv := NewServer(NewBroker(WithRegistry(obs.NewRegistry())))
+	b := NewBroker(WithRegistry(obs.NewRegistry()))
+	defer b.Close() // the server does not own the broker it fronts
+	srv := NewServer(b)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

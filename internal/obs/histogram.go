@@ -31,15 +31,64 @@ func (h *Histogram) Record(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.count.Add(1)
-	h.sum.Add(ns)
+	h.RecordN(ns, ns, 1)
+}
+
+// RecordN adds n non-negative observations that all fall in one power-of-two
+// bucket — that of max, the largest of them — and total sum nanoseconds.  The
+// histogram ends up exactly as n Record calls would leave it, for four
+// atomic updates instead of 4n — the shape a batched caller wants, whose
+// runs of observations mostly share a bucket.
+func (h *Histogram) RecordN(sum, max, n int64) {
+	if n <= 0 {
+		return
+	}
+	h.count.Add(n)
+	h.sum.Add(sum)
 	for {
 		old := h.max.Load()
-		if ns <= old || h.max.CompareAndSwap(old, ns) {
+		if max <= old || h.max.CompareAndSwap(old, max) {
 			break
 		}
 	}
-	h.buckets[bits.Len64(uint64(ns))].Add(1)
+	h.buckets[bits.Len64(uint64(max))].Add(n)
+}
+
+// Run folds a run of observations into as few histogram updates as their
+// spread allows: consecutive observations that share a bucket become one
+// RecordN.  The histogram ends up exactly as a Record per observation would
+// leave it.  A Run is a stack value for one goroutine; Flush it when the run
+// ends.
+type Run struct {
+	h           *Histogram
+	bucket      int
+	sum, max, n int64
+}
+
+// Run starts an empty run of observations for h.
+func (h *Histogram) Run() Run { return Run{h: h} }
+
+// Record adds one observation of ns nanoseconds (negative values clamp to
+// zero) to the run.
+func (r *Run) Record(ns int64) {
+	if ns < 0 {
+		ns = 0
+	}
+	if b := bits.Len64(uint64(ns)); b != r.bucket {
+		r.Flush()
+		r.bucket = b
+	}
+	r.sum += ns
+	r.n++
+	if ns > r.max {
+		r.max = ns
+	}
+}
+
+// Flush writes the pending observations to the histogram.
+func (r *Run) Flush() {
+	r.h.RecordN(r.sum, r.max, r.n)
+	r.sum, r.max, r.n = 0, 0, 0
 }
 
 // Observe records a duration.

@@ -86,6 +86,32 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramRunMatchesRecord: a run folded through Run leaves the
+// histogram exactly as one Record per observation does — count, sum, max
+// and every bucket — including bucket changes mid-run, a zero, a negative
+// and a repeat of an earlier bucket.
+func TestHistogramRunMatchesRecord(t *testing.T) {
+	obsns := []int64{900, 700, 513, 512, 511, 300, 0, -4, 0, 70_000, 65_536, 600, 1, 1}
+	var each, folded Histogram
+	for _, ns := range obsns {
+		each.Record(ns)
+	}
+	run := folded.Run()
+	for _, ns := range obsns {
+		run.Record(ns)
+	}
+	run.Flush()
+	run.Flush() // an empty flush records nothing
+	if each.Snapshot() != folded.Snapshot() {
+		t.Errorf("snapshots differ:\n per event %+v\n per run   %+v", each.Snapshot(), folded.Snapshot())
+	}
+	for i := range each.buckets {
+		if a, b := each.buckets[i].Load(), folded.buckets[i].Load(); a != b {
+			t.Errorf("bucket %d: per event %d, per run %d", i, a, b)
+		}
+	}
+}
+
 func TestRegistryExports(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total").Add(3)

@@ -66,6 +66,57 @@ func TestEncodeDecodeAllocFree(t *testing.T) {
 	checkKitchen(t, "alloc-run", out)
 }
 
+// TestDecodePlanAlternating: the one-entry last-plan cache in front of the
+// plan map changes nothing when formats (or target types) alternate on one
+// context — every decode still gets the plan of its own (format, type) pair,
+// still without allocating.
+func TestDecodePlanAlternating(t *testing.T) {
+	type pointA struct{ X, Y int32 }
+	type pointB struct{ Y, X int64 } // same names, another layout
+	c := NewContext()
+	fa, err := c.RegisterFields("a", []IOField{{Name: "x", Type: "integer"}, {Name: "y", Type: "integer"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := c.RegisterFields("b", []IOField{{Name: "y", Type: "integer"}, {Name: "x", Type: "integer"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba, err := c.Bind(fa, &pointA{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := c.Bind(fb, &pointA{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyA, err := ba.EncodeBody(nil, &pointA{X: 1, Y: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyB, err := bb.EncodeBody(nil, &pointA{X: 3, Y: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a pointA
+	var b pointB
+	round := func() {
+		if err := c.DecodeBody(fa, bodyA, &a); err != nil || a != (pointA{X: 1, Y: 2}) {
+			t.Errorf("format a into pointA: %+v, %v", a, err)
+		}
+		if err := c.DecodeBody(fb, bodyB, &a); err != nil || a != (pointA{X: 3, Y: 4}) {
+			t.Errorf("format b into pointA: %+v, %v", a, err)
+		}
+		if err := c.DecodeBody(fb, bodyB, &b); err != nil || b != (pointB{X: 3, Y: 4}) {
+			t.Errorf("format b into pointB: %+v, %v", b, err)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("alternating DecodeBody: %v allocs/op, want 0", n)
+	}
+}
+
 // TestBufferPoolAllocFree checks the Get/Release cycle itself is free once
 // the pool is primed, and that oversized buffers are dropped.
 func TestBufferPoolAllocFree(t *testing.T) {

@@ -57,11 +57,18 @@ func (c *Context) DecodeBody(f *meta.Format, body []byte, out any) error {
 }
 
 // decodePlan returns the cached conversion plan for (format, type),
-// compiling it on first use.  The cache is copy-on-write: the per-message
-// lookup is a single lock-free map read.
+// compiling it on first use.  A stream decodes the same pair message after
+// message, so the plan last used is checked first — two pointer compares
+// instead of hashing an interface-keyed map key.  Behind it the cache is
+// copy-on-write: the lookup is a single lock-free map read, which is what
+// alternating formats fall back to.
 func (c *Context) decodePlan(f *meta.Format, t reflect.Type) (*decProg, error) {
+	if p := c.lastPlan.Load(); p != nil && p.format == f && p.goType == t {
+		return p, nil
+	}
 	key := planKey{f: f, t: t}
 	if p := (*c.plans.Load())[key]; p != nil {
+		c.lastPlan.Store(p)
 		return p, nil
 	}
 	if err := c.checkFormat(f); err != nil {
@@ -78,6 +85,7 @@ func (c *Context) decodePlan(f *meta.Format, t reflect.Type) (*decProg, error) {
 		cowInsert(&c.plans, key, p)
 	}
 	c.mu.Unlock()
+	c.lastPlan.Store(p)
 	return p, nil
 }
 

@@ -56,6 +56,7 @@ type Context struct {
 	byID     atomic.Pointer[map[meta.FormatID]*meta.Format]
 	bindings atomic.Pointer[map[bindKey]*Binding]
 	plans    atomic.Pointer[map[planKey]*decProg]
+	lastPlan atomic.Pointer[decProg]                   // one-entry cache in front of plans
 	verified atomic.Pointer[map[*meta.Format]struct{}] // formats that passed Validate
 }
 
