@@ -45,18 +45,17 @@ type Registry struct {
 }
 
 // BlobStore is the persistence hook for the format catalogue: new
-// registrations are written through as canonical-format blobs, and
+// registrations are written through as canonical-format bodies, and
 // WarmFromStore replays every stored format at startup — so a restarted
 // directory server serves its full catalogue from local disk with zero
 // re-registrations.  internal/store implements it.
 type BlobStore interface {
 	// PutFormat stores a format's canonical bytes, keyed by content hash.
-	PutFormat(f *meta.Format, source string) (meta.FormatID, error)
-	// FormatIDs lists every stored format.
-	FormatIDs() ([]meta.FormatID, error)
-	// GetBlob returns the canonical bytes stored under id, verified against
-	// it, in a slice the caller may keep.
-	GetBlob(id meta.FormatID) ([]byte, error)
+	PutFormat(f *meta.Format) (meta.FormatID, error)
+	// Formats yields every stored format until yield returns false: its ID
+	// (verified against the bytes by the store), its canonical bytes in a
+	// slice the caller may keep but not write, and the parsed format.
+	Formats(yield func(id meta.FormatID, canonical []byte, f *meta.Format) bool)
 }
 
 // RegistryStats counts registry traffic; as a service's format catalogue
@@ -125,34 +124,29 @@ func (r *Registry) AttachStore(bs BlobStore) {
 }
 
 // WarmFromStore loads every format persisted in bs into the catalogue,
-// warming it from local disk without a single remote fetch.  Each blob is
-// parsed (which validates it) and, with lineages attached, registered with
-// its lineage; blobs that fail either step are skipped — the store may hold
-// formats journaled for lineage recovery that the catalogue's policy would
-// not re-admit.  The store verified each blob against its key, and a format
-// blob's key is its FormatID, so the ID is taken from the key rather than
-// re-derived, and the whole batch enters the catalogue under one lock
-// acquisition.  Nothing is written back to an attached store.  Returns the
-// number of stored formats now resident.
+// warming it from local disk without a single remote fetch.  The store hands
+// over each format's bytes together with the format it already parsed (for
+// registry recovery, if that ran first), so the warm reads and parses
+// nothing itself and the catalogue serves the store's bytes without copying
+// them.  With lineages attached each format is registered with its lineage;
+// one the policy would not re-admit is skipped — the store may hold formats
+// journaled for lineage recovery only.  The ID is the store's verified key
+// rather than re-derived, and the whole batch enters the catalogue under one
+// lock acquisition.  Nothing is written back to an attached store.  Returns
+// the number of stored formats now resident; the error is always nil (the
+// store did its reading when it was opened).
 func (r *Registry) WarmFromStore(bs BlobStore) (int, error) {
-	ids, err := bs.FormatIDs()
-	if err != nil {
-		return 0, err
-	}
 	type entry struct {
 		id   meta.FormatID
 		data []byte
 	}
-	batch := make([]entry, 0, len(ids))
-	for _, id := range ids {
-		data, err := bs.GetBlob(id)
-		if err != nil {
-			continue
+	var batch []entry
+	bs.Formats(func(id meta.FormatID, canonical []byte, f *meta.Format) bool {
+		if _, err := r.admit(f, nil); err == nil {
+			batch = append(batch, entry{id, canonical})
 		}
-		if _, err := r.admit(data); err == nil {
-			batch = append(batch, entry{id, data})
-		}
-	}
+		return true
+	})
 	added := 0
 	r.mu.Lock()
 	for _, e := range batch {
@@ -166,12 +160,11 @@ func (r *Registry) WarmFromStore(bs BlobStore) (int, error) {
 	return len(batch), nil
 }
 
-// admit counts one registration attempt and decides it: the bytes must parse
-// as a valid format and, with lineages attached, the format must join its
-// lineage.
-func (r *Registry) admit(data []byte) (*meta.Format, error) {
+// admit counts one registration attempt and decides it: the format must
+// have parsed (err is the parse's verdict) and, with lineages attached, must
+// join its lineage.
+func (r *Registry) admit(f *meta.Format, err error) (*meta.Format, error) {
 	r.stats.Registrations.Add(1)
-	f, err := meta.ParseCanonical(data)
 	if err == nil {
 		if lr := r.lineages.Load(); lr != nil {
 			_, err = lr.Register(f.Name, f, "fmtserver")
@@ -190,7 +183,7 @@ func (r *Registry) admit(data []byte) (*meta.Format, error) {
 // compatibility policy — a violation rejects the registration with a
 // *registry.CompatError and stores nothing.
 func (r *Registry) RegisterCanonical(data []byte) (meta.FormatID, error) {
-	f, err := r.admit(data)
+	f, err := r.admit(meta.ParseCanonical(data))
 	if err != nil {
 		return 0, err
 	}
@@ -203,10 +196,10 @@ func (r *Registry) RegisterCanonical(data []byte) (meta.FormatID, error) {
 	}
 	r.mu.Unlock()
 	// Write-through outside the lock: the store dedups by content hash, so
-	// a racing duplicate registration costs a stat, not a second write.
+	// a racing duplicate registration costs a lookup, not a second write.
 	if !had {
 		if bsp := r.blobs.Load(); bsp != nil {
-			(*bsp).PutFormat(f, "fmtserver")
+			(*bsp).PutFormat(f)
 		}
 	}
 	return id, nil

@@ -215,6 +215,9 @@ func RunPipeline(cfg PipelineConfig) (*RunReport, error) {
 		}
 	}
 	run("coupler", func() error {
+		// Closing the solver-facing end last is the solver's signal that
+		// every piece of sink feedback has been forwarded (see runFlow2D).
+		defer coupIn.Close()
 		for _, sc := range sinkConns {
 			defer sc.Close()
 		}
@@ -381,7 +384,10 @@ func runPreSend(c *component, in, out *transport.Conn, cfg PipelineConfig, joins
 
 // runFlow2D reconstructs the simulation from the incoming dataset, steps
 // it, and emits per-step frames; a reader goroutine absorbs control
-// feedback arriving on the downstream connection.
+// feedback arriving on the downstream connection.  The solver stops reading
+// at the coupler's EOF, not at its own last frame: the coupler closes its end
+// only after the sinks' feedback pumps have drained, so every control message
+// a sink sent has been counted by the time runFlow2D returns.
 func runFlow2D(c *component, in, out *transport.Conn, cfg PipelineConfig,
 	report *RunReport, controlSeen *atomic.Int64, joins *atomic.Int64) error {
 	if err := c.join(out, 102); err != nil {
@@ -430,7 +436,9 @@ func runFlow2D(c *component, in, out *transport.Conn, cfg PipelineConfig,
 
 	// Control feedback arrives asynchronously from the coupler.
 	var isoLevel atomic.Int64
+	readerDone := make(chan struct{})
 	go func() {
+		defer close(readerDone)
 		var ctl ControlMsg
 		for {
 			if _, err := out.Recv(&ctl); err != nil {
@@ -476,8 +484,13 @@ func runFlow2D(c *component, in, out *transport.Conn, cfg PipelineConfig,
 	}
 	report.StepsRun = cfg.Steps
 	report.FramesEmitted = int(frame)
-	// Announce end-of-stream downstream.
-	return out.Send(bCM, &ControlMsg{Command: CmdShutdown, Timestep: int32(cfg.Steps)})
+	// Announce end-of-stream downstream, then read feedback until the
+	// coupler hangs up.
+	if err := out.Send(bCM, &ControlMsg{Command: CmdShutdown, Timestep: int32(cfg.Steps)}); err != nil {
+		return err
+	}
+	<-readerDone
+	return nil
 }
 
 // runCoupler broadcasts solver frames to every sink, funnels sink feedback

@@ -312,12 +312,12 @@ type Observer interface {
 	PolicyChanged(lineage string, p Policy)
 }
 
-// Registry is the set of lineages, keyed by name.  Lookup is lock-free
-// against a copy-on-write map; creation and registration serialise on the
-// registry mutex.
+// Registry is the set of lineages, keyed by name.  The table is a sync.Map:
+// lookups of a known lineage are lock-free and allocate nothing, and a new
+// lineage joins in O(1) amortised — a live daemon registering its n-th
+// lineage does not copy the other n-1.
 type Registry struct {
-	mu            sync.Mutex
-	lineages      atomic.Pointer[map[string]*Lineage]
+	lineages      sync.Map // name -> *Lineage
 	defaultPolicy Policy
 	observer      atomic.Pointer[Observer]
 	// rev increments on every lineage mutation (Register, Adopt, policy
@@ -357,26 +357,24 @@ func New(opts ...Option) *Registry {
 	for _, o := range opts {
 		o(r)
 	}
-	empty := map[string]*Lineage{}
-	r.lineages.Store(&empty)
 	return r
 }
 
 // Lineage returns the named lineage or ErrUnknownLineage.
 func (r *Registry) Lineage(name string) (*Lineage, error) {
-	if l, ok := (*r.lineages.Load())[name]; ok {
-		return l, nil
+	if l, ok := r.lineages.Load(name); ok {
+		return l.(*Lineage), nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownLineage, name)
 }
 
 // Lineages returns the sorted lineage names.
 func (r *Registry) Lineages() []string {
-	m := *r.lineages.Load()
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
-	}
+	var out []string
+	r.lineages.Range(func(name, _ any) bool {
+		out = append(out, name.(string))
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
@@ -390,16 +388,15 @@ type Update struct {
 
 // Apply replays already-admitted mutations onto many lineages at once — the
 // path journal recovery, snapshot replay and gossip merges take.  The cost
-// is linear in the batch: lineages the registry does not have yet (an
-// Update with no mutations still creates its lineage) all join the lookup
-// table in one copy of it, and each lineage's new history is built once
-// and published with one atomic store (see Lineage.commit).  It returns the
-// number of versions appended.
+// is linear in the batch: a lineage the registry does not have yet (an
+// Update with no mutations still creates its lineage) joins the table in
+// O(1), and each lineage's new history is built once and published with one
+// atomic store (see Lineage.commit).  It returns the number of versions
+// appended.
 func (r *Registry) Apply(updates []Update) int {
-	table := r.ensure(updates)
 	appended := 0
 	for _, u := range updates {
-		l := table[u.Lineage]
+		l := r.lineage(u.Lineage)
 		l.mu.Lock()
 		_, n := l.commit(u.Mutations, true)
 		l.mu.Unlock()
@@ -408,43 +405,17 @@ func (r *Registry) Apply(updates []Update) int {
 	return appended
 }
 
-// ensure returns a lookup table holding every lineage updates names,
-// creating the absent ones with the default policy.  The copy-on-write
-// table is copied and published once per call, not once per new lineage.
-func (r *Registry) ensure(updates []Update) map[string]*Lineage {
-	cur := *r.lineages.Load()
-	missing := 0
-	for _, u := range updates {
-		if _, ok := cur[u.Lineage]; !ok {
-			missing++
-		}
-	}
-	if missing == 0 {
-		return cur
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur = *r.lineages.Load()
-	next := make(map[string]*Lineage, len(cur)+missing)
-	for k, v := range cur {
-		next[k] = v
-	}
-	for _, u := range updates {
-		if _, ok := next[u.Lineage]; ok {
-			continue
-		}
-		l := &Lineage{name: u.Lineage, rev: &r.rev, observer: &r.observer}
-		l.policy.Store(int32(r.defaultPolicy))
-		l.snap.Store(&lineageSnap{byID: map[meta.FormatID]int{}})
-		next[u.Lineage] = l
-	}
-	r.lineages.Store(&next)
-	return next
-}
-
-// lineage returns the named lineage, creating it if absent.
+// lineage returns the named lineage, creating it with the default policy if
+// absent.
 func (r *Registry) lineage(name string) *Lineage {
-	return r.ensure([]Update{{Lineage: name}})[name]
+	if l, ok := r.lineages.Load(name); ok {
+		return l.(*Lineage)
+	}
+	l := &Lineage{name: name, rev: &r.rev, observer: &r.observer}
+	l.policy.Store(int32(r.defaultPolicy))
+	l.snap.Store(&lineageSnap{byID: map[meta.FormatID]int{}})
+	actual, _ := r.lineages.LoadOrStore(name, l)
+	return actual.(*Lineage)
 }
 
 // Register appends a format to the named lineage (created with the default

@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
-	"github.com/open-metadata/xmit/internal/obs"
+	"github.com/open-metadata/xmit/internal/discovery"
+	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/registry"
 )
 
@@ -23,12 +25,12 @@ func TestCrashBetweenTempWriteAndRename(t *testing.T) {
 	}
 	s.Close()
 
-	// The crash artifacts: orphaned temp files in the blob tree, the plans
+	// The crash artifacts: orphaned temp files in the blob tree, the docs
 	// dir, and the store root (a snapshot temp), exactly where
 	// writeFileAtomic and writeSnapshotDoc create them.
 	orphans := []string{
 		filepath.Join(dir, "blobs", "ab", "abcd.1234.tmp"),
-		filepath.Join(dir, "plans", "deadbeef.json.99.tmp"),
+		filepath.Join(dir, "docs", "deadbeef.json.99.tmp"),
 		filepath.Join(dir, "snapshot.xml.7.tmp"),
 	}
 	for _, p := range orphans {
@@ -51,73 +53,385 @@ func TestCrashBetweenTempWriteAndRename(t *testing.T) {
 	}
 }
 
-// TestCrashMidJournalAppend truncates the journal at every byte offset — the
-// set of all possible kill points during appends — and requires each reopen
-// to recover a clean prefix of the committed history with version numbering
-// intact, never an error, never a renumbered or reordered lineage.
-func TestCrashMidJournalAppend(t *testing.T) {
+// commitPoint is what a seeding process had made durable after one registry
+// mutation: the sizes of the pack and the journal, and the full lineage
+// document a recovery from exactly those bytes must reproduce.
+type commitPoint struct {
+	pack, journal int
+	doc           string
+}
+
+// seedCommitPoints drives a four-version lineage and a policy change through
+// the journaling observer and returns the finished pack and journal with the
+// commit point after every mutation (the first is the empty store).
+func seedCommitPoints(t *testing.T) (pack, journal []byte, points []commitPoint) {
+	t.Helper()
 	dir := t.TempDir()
 	s := openTest(t, dir)
 	reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
 	if _, err := s.PersistRegistry(reg); err != nil {
 		t.Fatal(err)
 	}
-	chain := make([]registry.Version, 0, 4)
+	mark := func() {
+		points = append(points, commitPoint{
+			pack:    int(fileSize(t, filepath.Join(dir, packName))),
+			journal: int(fileSize(t, filepath.Join(dir, journalName))),
+			doc:     string(discovery.MarshalLineages(discovery.SnapshotLineagesFull(reg))),
+		})
+	}
+	mark()
 	for v := 1; v <= 4; v++ {
-		ver, err := reg.Register("metric", chainFormat(t, "metric", v), "test")
-		if err != nil {
+		if _, err := reg.Register("metric", chainFormat(t, "metric", v), "test"); err != nil {
 			t.Fatal(err)
 		}
-		chain = append(chain, ver)
+		mark()
+		if v == 2 {
+			if err := reg.SetPolicy("metric", registry.PolicyFull); err != nil {
+				t.Fatal(err)
+			}
+			mark()
+		}
 	}
-	if err := reg.SetPolicy("metric", registry.PolicyFull); err != nil {
+	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
+	return readFile(t, filepath.Join(dir, packName)), readFile(t, filepath.Join(dir, journalName)), points
+}
 
-	full, err := os.ReadFile(filepath.Join(dir, "journal"))
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut <= len(full); cut++ {
-		crashDir := t.TempDir()
-		// Rebuild the store at this kill point: all blobs (written before
-		// their journal records, so always present), journal cut at `cut`.
-		if err := copyTree(dir, crashDir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(crashDir, "journal"), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s2, err := Open(crashDir, WithSync(false), WithMetricsRegistry(obs.NewRegistry()))
-		if err != nil {
-			t.Fatalf("cut %d: Open: %v", cut, err)
-		}
-		reg2 := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
-		rs, err := s2.RecoverRegistry(reg2)
-		if err != nil {
-			t.Fatalf("cut %d: recover: %v", cut, err)
-		}
-		l, err := reg2.Lineage("metric")
-		if err != nil {
-			if rs.Versions != 0 {
-				t.Fatalf("cut %d: %d versions recovered but lineage missing", cut, rs.Versions)
-			}
-			s2.Close()
-			continue
-		}
-		vs := l.Versions()
-		if len(vs) > len(chain) {
-			t.Fatalf("cut %d: recovered %d versions, more than ever committed", cut, len(vs))
-		}
-		for i, v := range vs {
-			if v.ID != chain[i].ID || v.Version != chain[i].Version {
-				t.Fatalf("cut %d: recovered v%d = %s (#%d), want %s (#%d)",
-					cut, i+1, v.ID, v.Version, chain[i].ID, chain[i].Version)
-			}
-		}
-		s2.Close()
+	return data
+}
+
+// crashedStore opens a store whose pack and journal are exactly the given
+// bytes — the disk a process killed at that point leaves behind.
+func crashedStore(t *testing.T, pack, journal []byte) *Store {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, packName), pack, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, journalName), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return openTest(t, dir)
+}
+
+// TestCrashMidAppend replays every kill point of the append path.  A
+// registration appends its body to the pack and then its record to the
+// journal, so the disks a crash can leave are: the pack torn anywhere inside
+// the body being appended with the journal at the previous commit point; the
+// body whole and the journal record not yet begun; and the journal torn
+// anywhere inside that record.  From every one of them recovery must resolve
+// every surviving journal record's body and reproduce, bit for bit, the
+// lineage document of the last commit point the journal reaches — never an
+// error, never a renumbered or reordered lineage.
+func TestCrashMidAppend(t *testing.T) {
+	pack, journal, points := seedCommitPoints(t)
+	// reached returns the last commit point whose size (by the given
+	// measure) is within cut.
+	reached := func(cut int, size func(commitPoint) int) commitPoint {
+		at := points[0]
+		for _, p := range points {
+			if size(p) <= cut {
+				at = p
+			}
+		}
+		return at
+	}
+	check := func(what string, packCut, journalCut int, want commitPoint) {
+		t.Helper()
+		s := crashedStore(t, pack[:packCut], journal[:journalCut])
+		defer s.Close()
+		reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+		rs, err := s.RecoverRegistry(reg)
+		if err != nil {
+			t.Fatalf("%s (pack %d, journal %d): recover: %v", what, packCut, journalCut, err)
+		}
+		if rs.MissingBlobs != 0 {
+			t.Fatalf("%s (pack %d, journal %d): %d journal records without a body", what, packCut, journalCut, rs.MissingBlobs)
+		}
+		if got := string(discovery.MarshalLineages(discovery.SnapshotLineagesFull(reg))); got != want.doc {
+			t.Fatalf("%s (pack %d, journal %d): recovered document differs from the committed prefix\n got: %s\nwant: %s",
+				what, packCut, journalCut, got, want.doc)
+		}
+	}
+	// Journal cut at every offset, every body on disk.
+	for cut := 0; cut <= len(journal); cut++ {
+		check("journal torn", len(pack), cut, reached(cut, func(p commitPoint) int { return p.journal }))
+	}
+	// Pack cut at every offset, the journal where it was when that byte of
+	// the pack was being written.
+	for cut := 0; cut <= len(pack); cut++ {
+		at := reached(cut, func(p commitPoint) int { return p.pack })
+		check("pack torn", cut, at.journal, at)
+	}
+	// Killed between the two appends: the next body whole, its record absent.
+	for i := 0; i+1 < len(points); i++ {
+		check("between appends", points[i+1].pack, points[i].journal, points[i])
+	}
+}
+
+// TestBodyBeforeRecord pins the order TestCrashMidAppend's kill points assume:
+// a registration whose body cannot be appended to the pack leaves no journal
+// record behind (and latches Err), so the journal never references a body
+// the pack does not hold.
+func TestBodyBeforeRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir)
+	reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+	if _, err := s.PersistRegistry(reg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Register("metric", chainFormat(t, "metric", 1), "test"); err != nil {
+		t.Fatal(err)
+	}
+	journal := fileSize(t, filepath.Join(dir, journalName))
+	s.pack.Close() // every further pack append fails
+	if _, err := reg.Register("metric", chainFormat(t, "metric", 2), "test"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Err() == nil {
+		t.Fatalf("a failed pack append was not latched into Err")
+	}
+	if now := fileSize(t, filepath.Join(dir, journalName)); now != journal {
+		t.Fatalf("journal grew from %d to %d bytes for a version whose body never reached the pack", journal, now)
+	}
+}
+
+// TestCrashMidPackAppend truncates the pack at every byte offset: Open must
+// cut it back to the last whole record, serve exactly the formats before
+// the cut, and leave a file that later appends extend consistently — putting
+// the lost formats again rebuilds the original pack byte for byte.
+func TestCrashMidPackAppend(t *testing.T) {
+	var formats []*meta.Format
+	var full []byte
+	ends := []int{0} // pack size after each format
+	for v := 1; v <= 4; v++ {
+		f := chainFormat(t, "metric", v)
+		formats = append(formats, f)
+		full = appendFrame(full, f.Canonical())
+		ends = append(ends, len(full))
+	}
+	for cut := 0; cut <= len(full); cut++ {
+		whole := 0
+		for whole+1 < len(ends) && ends[whole+1] <= cut {
+			whole++
+		}
+		s := crashedStore(t, full[:cut], nil)
+		if got := int(fileSize(t, s.packPath())); got != ends[whole] {
+			t.Fatalf("cut %d: pack is %d bytes after Open, want the %d of its %d whole records", cut, got, ends[whole], whole)
+		}
+		torn, _ := s.metrics.Value("store_pack_truncated_total")
+		if want := cut != ends[whole]; (torn == 1) != want {
+			t.Fatalf("cut %d: store_pack_truncated_total = %v, torn tail = %v", cut, torn, want)
+		}
+		for i, f := range formats {
+			got, err := s.GetFormat(f.ID())
+			if i >= whole {
+				if err == nil {
+					t.Fatalf("cut %d: format %d served from beyond the cut", cut, i)
+				}
+				continue
+			}
+			if err != nil || string(got.Canonical()) != string(f.Canonical()) {
+				t.Fatalf("cut %d: format %d did not survive: %v", cut, i, err)
+			}
+		}
+		for _, f := range formats {
+			if _, err := s.PutFormat(f); err != nil {
+				t.Fatalf("cut %d: PutFormat: %v", cut, err)
+			}
+		}
+		s.Close()
+		if got := readFile(t, s.packPath()); string(got) != string(full) {
+			t.Fatalf("cut %d: appends after the cut left a %d-byte pack that is not the original %d bytes", cut, len(got), len(full))
+		}
+	}
+}
+
+// TestPackCorruptionEndsPack flips one byte inside a record's body: the pack
+// ends at the record before it, the mismatch is counted, and nothing at or
+// after the flipped record is served.
+func TestPackCorruptionEndsPack(t *testing.T) {
+	var formats []*meta.Format
+	var pack []byte
+	var ends []int
+	for v := 1; v <= 3; v++ {
+		f := chainFormat(t, "metric", v)
+		formats = append(formats, f)
+		pack = appendFrame(pack, f.Canonical())
+		ends = append(ends, len(pack))
+	}
+	pack[ends[0]+frameHeader+5] ^= 0x40 // inside the second record's body
+	s := crashedStore(t, pack, nil)
+	for name, want := range map[string]float64{
+		"store_blob_corrupt_total": 1, "store_pack_truncated_total": 1, "store_format_read_total": 1,
+	} {
+		if v, _ := s.metrics.Value(name); v != want {
+			t.Errorf("%s = %v, want %v", name, v, want)
+		}
+	}
+	if got := int(fileSize(t, s.packPath())); got != ends[0] {
+		t.Errorf("pack is %d bytes after Open, want the first record's %d", got, ends[0])
+	}
+	if _, err := s.GetFormat(formats[0].ID()); err != nil {
+		t.Errorf("the record before the flipped byte was lost: %v", err)
+	}
+	for _, f := range formats[1:] {
+		if _, err := s.GetFormat(f.ID()); err == nil {
+			t.Errorf("format %s served from at or beyond the flipped record", f.ID())
+		}
+	}
+}
+
+// oldLayout rewrites a store directory the way the commit before the pack
+// laid it out: every format a blob file under blobs/ and a manifest under
+// plans/, no formats.pack.  It returns the blob paths, in pack order.
+func oldLayout(t *testing.T, dir string) (blobs []string) {
+	t.Helper()
+	var ix packIndex
+	ix.load(readFile(t, filepath.Join(dir, packName)))
+	if err := os.Remove(filepath.Join(dir, packName)); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ix.order {
+		blob := filepath.Join(dir, "blobs", e.id.String()[:2], e.id.String())
+		plan := filepath.Join(dir, "plans", e.id.String()+".json")
+		for path, data := range map[string][]byte{blob: e.data, plan: []byte(`{"id":"` + e.id.String() + `"}`)} {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blobs = append(blobs, blob)
+	}
+	return blobs
+}
+
+// TestImportOldLayout opens a directory in the pre-pack layout: the formats
+// move into the pack once, plans/ and the format blobs go, a blob a stored
+// document shares with a format stays, and recovery reproduces the lineage
+// document.  The import is idempotent under a kill at any of its stages —
+// mid-append, after the fsync with some blobs removed, and mid-removal of
+// plans/ — the next Open finishes it with no format lost or duplicated.
+func TestImportOldLayout(t *testing.T) {
+	const versions = 4
+	seed := func(t *testing.T) (dir, doc string, blobs []string) {
+		dir = t.TempDir()
+		s := openTest(t, dir)
+		reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+		if _, err := s.PersistRegistry(reg); err != nil {
+			t.Fatal(err)
+		}
+		for v := 1; v <= versions; v++ {
+			if _, err := reg.Register("metric", chainFormat(t, "metric", v), "test"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A document whose payload is byte-identical to a format body.
+		if err := s.StoreDocument("http://x/v1", chainFormat(t, "metric", 1).Canonical(), "", "", time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		doc = string(discovery.MarshalLineages(discovery.SnapshotLineagesFull(reg)))
+		s.Close()
+		return dir, doc, oldLayout(t, dir)
+	}
+	imported := func(t *testing.T, dir, doc string, blobs []string) {
+		t.Helper()
+		s := openTest(t, dir)
+		defer s.Close()
+		reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+		rs, err := s.RecoverRegistry(reg)
+		if err != nil || rs.MissingBlobs != 0 || rs.Versions != versions {
+			t.Fatalf("recovery after import: %+v, %v", rs, err)
+		}
+		if got := string(discovery.MarshalLineages(discovery.SnapshotLineagesFull(reg))); got != doc {
+			t.Fatalf("lineage document changed across the import\n got: %s\nwant: %s", got, doc)
+		}
+		var ix packIndex
+		pack := readFile(t, s.packPath())
+		if clean, _ := ix.load(pack); clean != len(pack) || len(ix.order) != versions {
+			t.Fatalf("pack holds %d formats in %d clean of %d bytes, want %d formats", len(ix.order), clean, len(pack), versions)
+		}
+		frames := 0
+		for rest := pack; len(rest) > 0; frames++ {
+			_, rest, _ = nextFrame(rest, maxBlobSize)
+		}
+		if frames != versions {
+			t.Fatalf("pack holds %d records for %d formats: a format was imported twice", frames, versions)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "plans")); !os.IsNotExist(err) {
+			t.Fatalf("plans/ survived the import: %v", err)
+		}
+		for i, blob := range blobs {
+			_, err := os.Stat(blob)
+			if shared := i == 0; shared != (err == nil) {
+				t.Fatalf("blob %d after the import: %v (shared with a document: %v)", i, err, shared)
+			}
+		}
+		if data, _, _, _, ok := s.LoadDocument("http://x/v1"); !ok || string(data) != string(chainFormat(t, "metric", 1).Canonical()) {
+			t.Fatalf("the document sharing a format's blob was lost by the import")
+		}
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		dir, doc, blobs := seed(t)
+		imported(t, dir, doc, blobs)
+		before := readFile(t, filepath.Join(dir, packName))
+		imported(t, dir, doc, blobs) // a second Open finds nothing to import
+		if after := readFile(t, filepath.Join(dir, packName)); string(after) != string(before) {
+			t.Fatalf("a second Open changed the pack")
+		}
+	})
+	t.Run("killed mid-append", func(t *testing.T) {
+		dir, doc, blobs := seed(t)
+		torn := appendFrame(nil, readFile(t, blobs[0]))
+		torn = append(torn, appendFrame(nil, readFile(t, blobs[1]))[:20]...)
+		if err := os.WriteFile(filepath.Join(dir, packName), torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		imported(t, dir, doc, blobs)
+	})
+	t.Run("killed removing blobs", func(t *testing.T) {
+		dir, doc, blobs := seed(t)
+		var pack []byte
+		for _, blob := range blobs {
+			pack = appendFrame(pack, readFile(t, blob))
+		}
+		if err := os.WriteFile(filepath.Join(dir, packName), pack, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, blob := range blobs[1:3] {
+			os.Remove(blob)
+		}
+		imported(t, dir, doc, blobs)
+	})
+	t.Run("killed removing plans", func(t *testing.T) {
+		dir, doc, blobs := seed(t)
+		var pack []byte
+		for _, blob := range blobs {
+			pack = appendFrame(pack, readFile(t, blob))
+		}
+		if err := os.WriteFile(filepath.Join(dir, packName), pack, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, blob := range blobs[1:] {
+			os.Remove(blob)
+		}
+		plans, _ := os.ReadDir(filepath.Join(dir, "plans"))
+		for _, ent := range plans[:2] {
+			os.Remove(filepath.Join(dir, "plans", ent.Name()))
+		}
+		imported(t, dir, doc, blobs)
+	})
 }
 
 // TestConcurrentRegisterSnapshotRecover hammers one store with concurrent
@@ -178,26 +492,4 @@ func TestConcurrentRegisterSnapshotRecover(t *testing.T) {
 			t.Fatalf("lineage %s recovered %d versions, want %d", name, l.Len(), depth)
 		}
 	}
-}
-
-// copyTree copies a store directory (regular files only) for crash replays.
-func copyTree(src, dst string) error {
-	return filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
 }

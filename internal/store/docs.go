@@ -7,16 +7,16 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
-
-	"github.com/open-metadata/xmit/internal/meta"
 )
 
 // The document tier persists fetched metadata documents for
 // discovery.Repository (which consumes it through the discovery.DocStore
 // interface, keeping the import pointing this way).  Each URL gets a small
 // JSON index entry under docs/ recording the URL, its payload's content
-// hash, and the HTTP validators; the payload itself lives in the CAS, so
-// two URLs serving identical bytes share one blob.  Index entries are
+// hash, and the HTTP validators; the payload itself lives in the blob CAS
+// (blobs/<hh>/<16-hex>, one file per distinct payload — documents are few
+// and may be large, unlike formats, which live in the pack), so two URLs
+// serving identical bytes share one blob.  Index entries are
 // written temp+rename like everything else.
 
 type docEntry struct {
@@ -66,11 +66,11 @@ func (s *Store) LoadDocument(url string) (data []byte, etag, lastModified string
 	if json.Unmarshal(buf, &e) != nil || e.URL != url {
 		return nil, "", "", time.Time{}, false
 	}
-	var id uint64
-	if _, err := fmt.Sscanf(e.Blob, "%016x", &id); err != nil {
+	id, err := parseID(e.Blob)
+	if err != nil {
 		return nil, "", "", time.Time{}, false
 	}
-	data, err = s.GetBlob(meta.FormatID(id))
+	data, err = s.GetBlob(id)
 	if err != nil {
 		return nil, "", "", time.Time{}, false
 	}
@@ -81,11 +81,17 @@ func (s *Store) LoadDocument(url string) (data []byte, etag, lastModified string
 // Documents lists every URL with a persisted document — the warm-cache
 // enumeration a cold-starting Repository iterates.
 func (s *Store) Documents() []string {
+	var out []string
+	s.eachDocument(func(e docEntry) { out = append(out, e.URL) })
+	return out
+}
+
+// eachDocument calls fn with every readable index entry under docs/.
+func (s *Store) eachDocument(fn func(docEntry)) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "docs"))
 	if err != nil {
-		return nil
+		return
 	}
-	var out []string
 	for _, ent := range entries {
 		if !strings.HasSuffix(ent.Name(), ".json") {
 			continue
@@ -96,8 +102,7 @@ func (s *Store) Documents() []string {
 		}
 		var e docEntry
 		if json.Unmarshal(buf, &e) == nil && e.URL != "" {
-			out = append(out, e.URL)
+			fn(e)
 		}
 	}
-	return out
 }

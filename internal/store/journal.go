@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
@@ -11,33 +10,28 @@ import (
 	"github.com/open-metadata/xmit/internal/meta"
 )
 
-// The registry journal is a flat append-only file of CRC-framed records:
-//
-//	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
-//
-// payload:
+// The registry journal is an append-only file of CRC-framed records (see
+// frame.go).  A record's payload is:
 //
 //	byte kind (1 = append, 2 = policy)
 //	kind 1: u8 flags (bit0: adopted) | str lineage | u64 format ID |
 //	        str source | i64 registration unix-nanos
 //	kind 2: str lineage | str policy wire name
 //
-// where str is a u16 big-endian length followed by that many bytes.  The
-// framing makes a torn tail detectable: a record whose declared length runs
-// past EOF, whose CRC mismatches, or whose payload underflows ends the
-// journal at the last clean record.  Everything before it replays; the tail
-// is cut on open so later appends extend a consistent log.
+// where str is a u16 big-endian length followed by that many bytes.  A
+// frame that checks out but whose payload underflows ends the journal just
+// as a torn one does.  Everything before it replays; the tail is cut on
+// open so later appends extend a consistent log.
 //
 // A journal record for a lineage append references the format by content
-// hash only — the body lives in the blob store, written *before* the
-// journal record, so a record present in the journal always has its blob
-// (a crash between the two leaves an unreferenced blob, which dedup makes
+// hash only — the body lives in the format pack, appended *before* the
+// journal record, so a record present in the journal always has its body
+// (a crash between the two leaves an unreferenced body, which dedup makes
 // harmless).
 
 const (
 	journalName      = "journal"
 	maxJournalRecord = 1 << 20
-	journalHeader    = 8 // u32 length + u32 crc
 )
 
 // RecordKind discriminates journal records.
@@ -67,6 +61,14 @@ const flagAdopted = 1 << 0
 
 // AppendJournalRecord appends the framed encoding of r to buf.
 func AppendJournalRecord(buf []byte, r JournalRecord) ([]byte, error) {
+	payload, err := encodeJournalPayload(r)
+	if err != nil {
+		return nil, err
+	}
+	return appendFrame(buf, payload), nil
+}
+
+func encodeJournalPayload(r JournalRecord) ([]byte, error) {
 	payload := []byte{byte(r.Kind)}
 	switch r.Kind {
 	case RecordAppend:
@@ -88,9 +90,7 @@ func AppendJournalRecord(buf []byte, r JournalRecord) ([]byte, error) {
 	if len(payload) > maxJournalRecord {
 		return nil, fmt.Errorf("store: journal record exceeds %d bytes", maxJournalRecord)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...), nil
+	return payload, nil
 }
 
 func appendJStr(buf []byte, s string) []byte {
@@ -107,28 +107,20 @@ func appendJStr(buf []byte, s string) []byte {
 // corruption, which is treated the same way: the journal ends at the last
 // record that checks out).  DecodeJournal never panics on any input.
 func DecodeJournal(data []byte) (recs []JournalRecord, clean int, truncated bool) {
-	pos := 0
-	for pos < len(data) {
-		if len(data)-pos < journalHeader {
-			return recs, pos, true
-		}
-		n := int(binary.BigEndian.Uint32(data[pos:]))
-		crc := binary.BigEndian.Uint32(data[pos+4:])
-		if n > maxJournalRecord || n > len(data)-pos-journalHeader {
-			return recs, pos, true
-		}
-		payload := data[pos+journalHeader : pos+journalHeader+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return recs, pos, true
+	rest := data
+	for len(rest) > 0 {
+		payload, next, fault := nextFrame(rest, maxJournalRecord)
+		if fault != frameOK {
+			break
 		}
 		rec, ok := decodeJournalPayload(payload)
 		if !ok {
-			return recs, pos, true
+			break
 		}
 		recs = append(recs, rec)
-		pos += journalHeader + n
+		rest = next
 	}
-	return recs, pos, false
+	return recs, len(data) - len(rest), len(rest) > 0
 }
 
 func decodeJournalPayload(p []byte) (JournalRecord, bool) {
@@ -186,22 +178,17 @@ func readJStr(p []byte) (string, []byte, bool) {
 
 func (s *Store) journalPath() string { return filepath.Join(s.dir, journalName) }
 
-// openJournal opens the journal for appending, first cutting any torn tail
-// so the next append extends a consistent log.
+// openJournal opens the journal for appending, first cutting any torn tail.
 func (s *Store) openJournal() error {
-	path := s.journalPath()
-	if data, err := os.ReadFile(path); err == nil {
-		_, clean, truncated := DecodeJournal(data)
-		if truncated {
-			s.stats.journalTrunc.Inc()
-			if err := os.Truncate(path, int64(clean)); err != nil {
-				return fmt.Errorf("store: cutting torn journal tail: %w", err)
-			}
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, cut, err := openLog(s.journalPath(), func(data []byte) int {
+		_, clean, _ := DecodeJournal(data)
+		return clean
+	})
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
+	}
+	if cut {
+		s.stats.journalTrunc.Inc()
 	}
 	s.mu.Lock()
 	s.journal = f
@@ -209,11 +196,9 @@ func (s *Store) openJournal() error {
 	return nil
 }
 
-// appendJournal frames and appends one record, fsyncing when WithSync is
-// on.  The frame is written in a single Write so a crash tears at most one
-// record — exactly what DecodeJournal's tail handling recovers from.
+// appendJournal frames and appends one record, fsyncing when WithSync is on.
 func (s *Store) appendJournal(r JournalRecord) error {
-	frame, err := AppendJournalRecord(nil, r)
+	payload, err := encodeJournalPayload(r)
 	if err != nil {
 		return err
 	}
@@ -222,13 +207,8 @@ func (s *Store) appendJournal(r JournalRecord) error {
 	if s.journal == nil {
 		return fmt.Errorf("store: journal closed")
 	}
-	if _, err := s.journal.Write(frame); err != nil {
-		return fmt.Errorf("store: journal append: %w", err)
-	}
-	if s.syncEach {
-		if err := s.journal.Sync(); err != nil {
-			return fmt.Errorf("store: journal sync: %w", err)
-		}
+	if err := appendLog(s.journal, payload, s.syncEach); err != nil {
+		return err
 	}
 	s.stats.journalRecs.Inc()
 	return nil

@@ -15,7 +15,7 @@ type RecoverStats struct {
 	JournalRecords   int  // clean journal records replayed
 	TruncatedTail    bool // the journal had a torn tail (cut at open)
 	SnapshotFallback bool // the newest snapshot was torn; an older one (or none) served
-	MissingBlobs     int  // journal appends skipped for lack of a format blob
+	MissingBlobs     int  // journal appends skipped for lack of a (parseable) format body
 }
 
 // RecoverRegistry replays the store's snapshot and journal into reg,
@@ -68,7 +68,7 @@ func (s *Store) RecoverRegistry(reg *registry.Registry) (RecoverStats, error) {
 		}
 		batch[i].Mutations = append(batch[i].Mutations, m)
 	}
-	// A lineage whose journal replay hit a missing format blob must not
+	// A lineage whose journal replay hit a missing format body must not
 	// adopt later appends: that would renumber versions.  Broken lineages
 	// stop replaying (and will heal from a peer's full document, exactly
 	// like a gossip merge that arrived without bodies).
@@ -108,7 +108,7 @@ func (s *Store) RecoverRegistry(reg *registry.Registry) (RecoverStats, error) {
 // PersistRegistry wires a registry to the store: recover persisted state
 // into reg, then attach the store as the registry's mutation observer so
 // every subsequent lineage append and policy change is journaled (bodies
-// into the CAS first, then the journal record).  This is the one-call
+// into the pack first, then the journal record).  This is the one-call
 // setup a daemon uses for `-store`.
 func (s *Store) PersistRegistry(reg *registry.Registry) (RecoverStats, error) {
 	st, err := s.RecoverRegistry(reg)
@@ -121,8 +121,8 @@ func (s *Store) PersistRegistry(reg *registry.Registry) (RecoverStats, error) {
 
 // Snapshot writes a snapshot of reg's current lineage state (the full-body
 // lineage document) and compacts the journal.  Also ensures every version's
-// canonical bytes are in the CAS, so the blob set stays a superset of what
-// the snapshot references.
+// canonical bytes are in the pack, so it stays a superset of what the
+// snapshot references.
 func (s *Store) Snapshot(reg *registry.Registry) error {
 	for _, name := range reg.Lineages() {
 		l, err := reg.Lineage(name)
@@ -130,7 +130,7 @@ func (s *Store) Snapshot(reg *registry.Registry) error {
 			continue
 		}
 		for _, v := range l.Versions() {
-			if _, err := s.PutFormat(v.Format, v.Source); err != nil {
+			if _, err := s.PutFormat(v.Format); err != nil {
 				return err
 			}
 		}
@@ -141,11 +141,11 @@ func (s *Store) Snapshot(reg *registry.Registry) error {
 }
 
 // LineageAppended implements registry.Observer: the version's canonical
-// bytes go to the CAS first, then the journal record referencing them —
-// so a journal record always has its blob, whatever the crash point.
+// bytes go to the pack first, then the journal record referencing them —
+// so a journal record always has its body, whatever the crash point.
 // Failures latch into Err (the observer path has no error return).
 func (s *Store) LineageAppended(lineage string, v registry.Version, adopted bool) {
-	if _, err := s.PutFormat(v.Format, v.Source); err != nil {
+	if _, err := s.PutFormat(v.Format); err != nil {
 		s.noteErr(err)
 		return
 	}

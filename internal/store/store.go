@@ -1,69 +1,74 @@
-// Package store implements the persistent tier of the metadata path: a
-// disk-backed content-addressed store (CAS) for canonical format bytes and
-// fetched metadata documents, plus an append-only journal and snapshot that
-// make a schema registry's lineage histories, compatibility policies, and
-// head decisions survive process restarts.
+// Package store implements the persistent tier of the metadata path: the
+// canonical bytes of every registered format, fetched metadata documents,
+// and an append-only journal and snapshot that make a schema registry's
+// lineage histories, compatibility policies, and head decisions survive
+// process restarts.
 //
 // The paper's central economy is paying the metadata cost once and
 // amortizing it across a run; without persistence every restart re-pays the
-// Remote Discovery Multiplier per format.  The store closes that hole:
+// Remote Discovery Multiplier per format.  The store closes that hole, and
+// prices a restart by the catalogue's bytes, not by its number of files:
 //
-//   - Blobs are keyed by the same 64-bit FNV-1a content hash that names
-//     formats (meta.FormatID), so a format blob's key IS its FormatID and
-//     any blob is self-verifying on read.  Writes go to a temp file in the
-//     same directory and are renamed into place, so a crash never leaves a
-//     torn blob under a valid key.
-//   - Each format blob carries a plan manifest (plans/<id>.json): the
-//     compiled-plan metadata — name, platform, layout facts, provenance —
-//     that lets a cold start enumerate and filter thousands of stored
-//     formats without parsing every blob.
+//   - Format bodies live in one append-only pack (formats.pack) of
+//     CRC-framed records, keyed by the same 64-bit FNV-1a content hash that
+//     names formats (meta.FormatID), so a stored format's key IS its
+//     FormatID.  Open reads the pack once, sequentially, into an index;
+//     each format is parsed at most once per Open, and registry recovery
+//     and the fmtserver catalogue warm share both the bytes and the parse.
+//     A new format is one appended record; a known one an index lookup.
 //   - Fetched metadata documents are indexed by URL (docs/<urlhash>.json)
-//     with their payload deduplicated into the CAS, giving
-//     discovery.Repository a persistent cache tier: a cold start warms
-//     every known document from local disk and pays zero remote fetches.
+//     with their payload deduplicated into a file-per-blob CAS (blobs/),
+//     giving discovery.Repository a persistent cache tier: a cold start
+//     warms every known document from local disk and pays zero remote
+//     fetches.  Blob writes go to a temp file in the same directory and are
+//     renamed into place, so a crash never leaves a torn blob under a valid
+//     key, and a blob is re-hashed against its key on every read.
 //   - The registry journal (journal) records every lineage append and
-//     policy change as a CRC-framed record; the snapshot (snapshot.xml)
-//     is the full-body lineage document inside a checksummed envelope.
-//     Recovery tolerates a truncated journal tail (replay stops at the
-//     last clean record and the tail is cut) and a torn snapshot (fall
-//     back to the previous snapshot plus journal replay).  Replay is
-//     idempotent, so the journal/snapshot overlap after compaction races
-//     or crashes is harmless.
+//     policy change as a CRC-framed record that names its format by content
+//     hash; the body is appended to the pack BEFORE the journal record, so
+//     every prefix of the journal has its bodies.  The snapshot
+//     (snapshot.xml) is the full-body lineage document inside a checksummed
+//     envelope.  Recovery tolerates a truncated journal or pack tail (the
+//     file ends at the last clean record and the tail is cut) and a torn
+//     snapshot (fall back to the previous snapshot plus journal replay).
+//     Replay is idempotent, so the journal/snapshot overlap after
+//     compaction races or crashes is harmless.
 //
 // Layout under the store directory:
 //
-//	blobs/<hh>/<16-hex>   content-addressed blobs (hh = first hash byte)
-//	plans/<16-hex>.json   per-format plan manifests
-//	docs/<16-hex>.json    per-URL document index entries
-//	journal               append-only registry journal
+//	formats.pack          every format's canonical bytes, CRC-framed
+//	journal               append-only registry journal, same framing
 //	snapshot.xml          newest registry snapshot (envelope-framed)
 //	snapshot.prev         previous snapshot, the torn-snapshot fallback
+//	docs/<16-hex>.json    per-URL document index entries
+//	blobs/<hh>/<16-hex>   document payloads (hh = first hash byte)
+//
+// A directory written before the pack existed (one blob file and one
+// plans/<id>.json manifest per format) is imported once, on Open.
 package store
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/obs"
 )
 
-// maxBlobSize bounds one stored blob; metadata documents and canonical
-// formats are small, so anything larger is corruption or abuse.
+// maxBlobSize bounds one stored blob or format body; metadata documents and
+// canonical formats are small, so anything larger is corruption or abuse.
 const maxBlobSize = 8 << 20
 
 // Store is a disk-backed content-addressed store rooted at one directory.
 // It is safe for concurrent use: blob writes are independent temp+rename
-// operations, and journal appends serialise on an internal mutex.
+// operations, and pack and journal appends each serialise on a mutex.
 type Store struct {
 	dir      string
 	syncEach bool
@@ -74,16 +79,23 @@ type Store struct {
 	mu      sync.Mutex // guards the journal file and snapshot rotation
 	journal *os.File
 
+	packMu  sync.Mutex // guards the pack file and its index; never held with mu
+	pack    *os.File
+	formats packIndex
+
 	// err latches the first persistence failure on the observer path,
 	// which has no error return (see Err).
 	err atomic.Pointer[error]
 }
 
 type storeStats struct {
-	blobPuts      *obs.Counter // store_blob_put_total: new blobs written
-	blobDedup     *obs.Counter // store_blob_dedup_total: puts satisfied by an existing blob
+	blobPuts      *obs.Counter // store_blob_put_total: new blobs and format bodies written
+	blobDedup     *obs.Counter // store_blob_dedup_total: puts satisfied by content already stored
 	blobGets      *obs.Counter // store_blob_get_total: blob reads served
-	blobCorrupt   *obs.Counter // store_blob_corrupt_total: blobs failing content-hash verification
+	blobCorrupt   *obs.Counter // store_blob_corrupt_total: blobs failing their content hash, pack records failing their CRC
+	formatReads   *obs.Counter // store_format_read_total: format bodies read from disk and indexed
+	formatParses  *obs.Counter // store_format_parse_total: canonical parses of stored formats
+	packTrunc     *obs.Counter // store_pack_truncated_total: torn pack tails cut at open
 	docPuts       *obs.Counter // store_doc_put_total: document index writes
 	docHits       *obs.Counter // store_doc_hit_total: document loads served
 	journalRecs   *obs.Counter // store_journal_record_total: records appended
@@ -96,7 +108,7 @@ type storeStats struct {
 // Option configures a Store.
 type Option func(*Store)
 
-// WithSync controls whether blob writes and journal appends fsync before
+// WithSync controls whether blob writes, pack and journal appends fsync before
 // returning (default true).  Disabling trades crash durability for write
 // throughput — reasonable for caches, wrong for the registry journal.
 func WithSync(sync bool) Option {
@@ -110,9 +122,11 @@ func WithMetricsRegistry(reg *obs.Registry) Option {
 }
 
 // Open opens (creating if necessary) the store rooted at dir.  Leftover
-// temp files from crashed writes are swept, and a torn journal tail is
-// truncated to the last clean record so subsequent appends extend a
-// consistent log.
+// temp files from crashed writes are swept, the format pack is read into
+// its index, and a torn pack or journal tail is truncated to the last clean
+// record so subsequent appends extend a consistent file.  The cost is one
+// sequential read of the catalogue's bytes plus a walk over the document
+// tier — no file per format is opened, created or listed.
 func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{dir: dir, syncEach: true, metrics: obs.Default()}
 	for _, o := range opts {
@@ -124,6 +138,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		blobDedup:     m.Counter("store_blob_dedup_total"),
 		blobGets:      m.Counter("store_blob_get_total"),
 		blobCorrupt:   m.Counter("store_blob_corrupt_total"),
+		formatReads:   m.Counter("store_format_read_total"),
+		formatParses:  m.Counter("store_format_parse_total"),
+		packTrunc:     m.Counter("store_pack_truncated_total"),
 		docPuts:       m.Counter("store_doc_put_total"),
 		docHits:       m.Counter("store_doc_hit_total"),
 		journalRecs:   m.Counter("store_journal_record_total"),
@@ -132,14 +149,17 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		snapFallbacks: m.Counter("store_snapshot_fallback_total"),
 		recovered:     m.Counter("store_recover_version_total"),
 	}
-	for _, sub := range []string{"", "blobs", "plans", "docs"} {
+	for _, sub := range []string{"", "blobs", "docs"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
 	s.sweepTemp()
-	if err := s.openJournal(); err != nil {
-		return nil, err
+	for _, step := range []func() error{s.openPack, s.importOldLayout, s.openJournal} {
+		if err := step(); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -147,21 +167,28 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close closes the journal file.  Blobs need no teardown.
+// Close closes the journal and the pack.  Blobs need no teardown; formats
+// already handed out stay valid.
 func (s *Store) Close() error {
+	var jerr, perr error
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal == nil {
-		return nil
+	if s.journal != nil {
+		jerr = s.journal.Close()
+		s.journal = nil
 	}
-	err := s.journal.Close()
-	s.journal = nil
-	return err
+	s.mu.Unlock()
+	s.packMu.Lock()
+	if s.pack != nil {
+		perr = s.pack.Close()
+		s.pack = nil
+	}
+	s.packMu.Unlock()
+	return errors.Join(jerr, perr)
 }
 
 // Err returns the first persistence failure recorded on the observer path
-// (journal appends and blob writes triggered by registry mutations have no
-// error return), or nil.  A daemon can poll this to surface a dying disk.
+// (journal and pack appends triggered by registry mutations have no error
+// return), or nil.  A daemon can poll this to surface a dying disk.
 func (s *Store) Err() error {
 	if p := s.err.Load(); p != nil {
 		return *p
@@ -176,8 +203,7 @@ func (s *Store) noteErr(err error) {
 
 // sweepTemp removes temp files left by writes that crashed before rename.
 // A temp file is never referenced by any key, so sweeping is always safe.
-// It goes by directory entries alone: every Open walks the whole blob tree,
-// and an lstat per blob would be most of the cost.
+// It goes by directory entries alone, without an lstat per file.
 func (s *Store) sweepTemp() {
 	_ = filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".tmp") {
@@ -187,9 +213,9 @@ func (s *Store) sweepTemp() {
 	})
 }
 
-// HashBytes returns the store key for a blob: FNV-1a 64 over its content —
-// the same function meta.Format.ID applies to canonical format bytes, so a
-// format blob's key is its FormatID.
+// HashBytes returns the store key for a blob or format body: FNV-1a 64 over
+// its content — the same function meta.Format.ID applies to canonical format
+// bytes, so a stored format's key is its FormatID.
 func HashBytes(data []byte) meta.FormatID {
 	h := fnv.New64a()
 	h.Write(data)
@@ -265,109 +291,4 @@ func (s *Store) GetBlob(id meta.FormatID) ([]byte, error) {
 	}
 	s.stats.blobGets.Inc()
 	return data, nil
-}
-
-// HasBlob reports whether a blob is stored under id.
-func (s *Store) HasBlob(id meta.FormatID) bool {
-	_, err := os.Stat(s.blobPath(id))
-	return err == nil
-}
-
-// PlanMeta is the compiled-plan manifest stored beside each format blob:
-// the facts a marshal-plan compiler needs as input (layout, platform,
-// field count) plus provenance, available to a cold start without parsing
-// the canonical bytes.
-type PlanMeta struct {
-	ID          string `json:"id"`
-	Name        string `json:"name"`
-	Platform    string `json:"platform"`
-	Fields      int    `json:"fields"`
-	Size        int    `json:"size"`
-	Align       int    `json:"align"`
-	BigEndian   bool   `json:"big_endian"`
-	PointerSize int    `json:"pointer_size"`
-	Source      string `json:"source,omitempty"`
-	StoredAt    int64  `json:"stored_at"` // unix nanoseconds
-}
-
-func (s *Store) planPath(id meta.FormatID) string {
-	return filepath.Join(s.dir, "plans", id.String()+".json")
-}
-
-// PutFormat stores a format's canonical bytes in the CAS and writes its
-// plan manifest.  The returned ID is the format's content hash — the same
-// value f.ID() computes.  Idempotent.
-func (s *Store) PutFormat(f *meta.Format, source string) (meta.FormatID, error) {
-	id, err := s.PutBlob(f.Canonical())
-	if err != nil {
-		return 0, err
-	}
-	planPath := s.planPath(id)
-	if _, err := os.Stat(planPath); err == nil {
-		return id, nil
-	}
-	pm := PlanMeta{
-		ID: id.String(), Name: f.Name, Platform: f.Platform,
-		Fields: len(f.Fields), Size: f.Size, Align: f.Align,
-		BigEndian: f.BigEndian, PointerSize: f.PointerSize,
-		Source: source, StoredAt: time.Now().UnixNano(),
-	}
-	data, err := json.Marshal(pm)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	if err := s.writeFileAtomic(planPath, data); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// GetFormat loads and parses the canonical format stored under id.  The
-// parse re-validates the format, and GetBlob verified the content hash, so
-// a returned format is exactly what was stored.
-func (s *Store) GetFormat(id meta.FormatID) (*meta.Format, error) {
-	data, err := s.GetBlob(id)
-	if err != nil {
-		return nil, err
-	}
-	f, err := meta.ParseCanonical(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: blob %s: %w", id, err)
-	}
-	return f, nil
-}
-
-// PlanMetaFor returns the plan manifest stored for a format blob, if any.
-func (s *Store) PlanMetaFor(id meta.FormatID) (PlanMeta, bool) {
-	data, err := os.ReadFile(s.planPath(id))
-	if err != nil {
-		return PlanMeta{}, false
-	}
-	var pm PlanMeta
-	if err := json.Unmarshal(data, &pm); err != nil {
-		return PlanMeta{}, false
-	}
-	return pm, true
-}
-
-// FormatIDs lists every format blob in the store (every blob with a plan
-// manifest), in no particular order — the cold-start enumeration.
-func (s *Store) FormatIDs() ([]meta.FormatID, error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "plans"))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	out := make([]meta.FormatID, 0, len(entries))
-	for _, e := range entries {
-		name := strings.TrimSuffix(e.Name(), ".json")
-		if len(name) != 16 || name == e.Name() {
-			continue
-		}
-		id, err := strconv.ParseUint(name, 16, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, meta.FormatID(id))
-	}
-	return out, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/open-metadata/xmit/internal/fmtserver"
 	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/obs"
 	"github.com/open-metadata/xmit/internal/platform"
@@ -56,9 +57,6 @@ func TestBlobPutGetDedup(t *testing.T) {
 	if want := HashBytes(data); id != want {
 		t.Fatalf("PutBlob key %s, want content hash %s", id, want)
 	}
-	if !s.HasBlob(id) {
-		t.Fatalf("HasBlob(%s) = false after put", id)
-	}
 	got, err := s.GetBlob(id)
 	if err != nil {
 		t.Fatalf("GetBlob: %v", err)
@@ -93,33 +91,55 @@ func TestBlobCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestFormatRoundTripAndManifest(t *testing.T) {
-	s := openTest(t, t.TempDir())
+func TestFormatRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir)
 	f := chainFormat(t, "metric", 2)
-	id, err := s.PutFormat(f, "test")
+	id, err := s.PutFormat(f)
 	if err != nil {
 		t.Fatalf("PutFormat: %v", err)
 	}
 	if id != f.ID() {
 		t.Fatalf("PutFormat key %s, want f.ID() %s", id, f.ID())
 	}
-	got, err := s.GetFormat(id)
+	size := fileSize(t, filepath.Join(dir, packName))
+	if _, err := s.PutFormat(f); err != nil {
+		t.Fatalf("dedup PutFormat: %v", err)
+	}
+	if again := fileSize(t, filepath.Join(dir, packName)); again != size {
+		t.Fatalf("re-putting a stored format grew the pack from %d to %d bytes", size, again)
+	}
+	s.Close()
+
+	// A fresh handle serves it from the pack, parsed once however often it
+	// is asked for and by whichever door.
+	s2 := openTest(t, dir)
+	got, err := s2.GetFormat(id)
 	if err != nil {
 		t.Fatalf("GetFormat: %v", err)
 	}
 	if string(got.Canonical()) != string(f.Canonical()) {
 		t.Fatalf("GetFormat canonical bytes differ")
 	}
-	pm, ok := s.PlanMetaFor(id)
-	if !ok {
-		t.Fatalf("PlanMetaFor(%s) missing", id)
+	seen := 0
+	s2.Formats(func(fid meta.FormatID, canonical []byte, pf *meta.Format) bool {
+		seen++
+		if fid != id || string(canonical) != string(f.Canonical()) || pf != got {
+			t.Fatalf("Formats yielded %s (%d bytes, format %p), want %s and the format GetFormat returned (%p)",
+				fid, len(canonical), pf, id, got)
+		}
+		return true
+	})
+	if again, _ := s2.GetFormat(id); seen != 1 || again != got {
+		t.Fatalf("Formats yielded %d formats, second GetFormat %p; want 1 and %p", seen, again, got)
 	}
-	if pm.Name != "metric" || pm.Fields != len(f.Fields) || pm.Size != f.Size || pm.Source != "test" {
-		t.Fatalf("manifest %+v does not match format", pm)
+	for name, want := range map[string]float64{"store_format_read_total": 1, "store_format_parse_total": 1} {
+		if v, _ := s2.metrics.Value(name); v != want {
+			t.Fatalf("%s = %v, want %v", name, v, want)
+		}
 	}
-	ids, err := s.FormatIDs()
-	if err != nil || len(ids) != 1 || ids[0] != id {
-		t.Fatalf("FormatIDs = %v, %v; want [%s]", ids, err, id)
+	if _, err := s2.GetFormat(id + 1); err == nil {
+		t.Fatalf("GetFormat served an ID that was never stored")
 	}
 }
 
@@ -397,8 +417,8 @@ func TestTornJournalTail(t *testing.T) {
 	}
 }
 
-// TestMissingBlobBreaksLineageSafely deletes a journaled format's blob; the
-// lineage must stop at the preceding version rather than renumber.
+// TestMissingBlobBreaksLineageSafely drops a journaled format's body from the
+// pack; the lineage must stop at the preceding version rather than renumber.
 func TestMissingBlobBreaksLineageSafely(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir)
@@ -415,7 +435,8 @@ func TestMissingBlobBreaksLineageSafely(t *testing.T) {
 		}
 	}
 	s.Close()
-	if err := os.Remove(s.blobPath(chain[1].ID())); err != nil {
+	pack := appendFrame(appendFrame(nil, chain[0].Canonical()), chain[2].Canonical())
+	if err := os.WriteFile(filepath.Join(dir, packName), pack, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -511,5 +532,163 @@ func TestRecoverRegistryLinear(t *testing.T) {
 	t.Logf("RecoverRegistry allocated %d bytes at 500 lineages, %d at 4000 (%.1fx)", small, large, float64(large)/float64(small))
 	if large > 12*small {
 		t.Errorf("recovery allocation grew %.1fx for 8x the lineages, want <= 12x", float64(large)/float64(small))
+	}
+}
+
+// TestLiveRegisterLinear gates the shape of live registration the way
+// TestRecoverRegistryLinear gates recovery: with the journaling observer
+// attached, registering lineages 2001-4000 may allocate at most 1.5x what
+// lineages 1-2000 did.  A lineage table copied per new lineage (what
+// Registry.ensure did) costs the second half about three times the first.
+func TestLiveRegisterLinear(t *testing.T) {
+	const half = 2000
+	formats := make([]*meta.Format, 2*half)
+	for i := range formats {
+		formats[i] = chainFormat(t, fmt.Sprintf("cat%05d", i), 1)
+	}
+	s := openTest(t, t.TempDir())
+	reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+	if _, err := s.PersistRegistry(reg); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(batch []*meta.Format) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, f := range batch {
+			if _, err := reg.Register(f.Name, f, "test"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := allocated(formats[:half]), allocated(formats[half:])
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("registering lineages 1-%d allocated %d bytes, %d-%d allocated %d (%.2fx)",
+		half, first, half+1, 2*half, second, float64(second)/float64(first))
+	if 2*second > 3*first {
+		t.Errorf("the second %d registrations allocated %.2fx the first, want <= 1.5x", half, float64(second)/float64(first))
+	}
+}
+
+// TestRestartIsOnePass is the gate that does not depend on timing: a restart
+// that recovers the registry and then warms the catalogue reads every stored
+// format from disk once and parses it once (both were twice when each format
+// was a file that recovery and the warm each opened), recovers and warms
+// what it always did, and finds a directory whose file count does not depend
+// on the size of the catalogue.
+func TestRestartIsOnePass(t *testing.T) {
+	restart := func(n int) (files int) {
+		dir := t.TempDir()
+		s := openTest(t, dir)
+		reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+		if _, err := s.PersistRegistry(reg); err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]registry.Update, n)
+		for i := range batch {
+			name := fmt.Sprintf("cat%05d", i)
+			batch[i] = registry.Update{Lineage: name, Mutations: []registry.Mutation{
+				{Format: chainFormat(t, name, 1), Source: "test"},
+			}}
+		}
+		reg.Apply(batch)
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+
+		s2 := openTest(t, dir)
+		rs, err := s2.RecoverRegistry(registry.New(registry.WithDefaultPolicy(registry.PolicyBackward)))
+		if err != nil || rs.Versions != n || rs.MissingBlobs != 0 {
+			t.Fatalf("%d formats: recovered %+v, %v", n, rs, err)
+		}
+		warmed, err := fmtserver.NewRegistry().WarmFromStore(s2)
+		if err != nil || warmed != n {
+			t.Fatalf("%d formats: warmed %d, %v", n, warmed, err)
+		}
+		for _, name := range []string{"store_format_read_total", "store_format_parse_total"} {
+			if v, _ := s2.metrics.Value(name); v != float64(n) {
+				t.Errorf("%d formats: %s = %v after recover + warm, want one per stored format", n, name, v)
+			}
+		}
+		filepath.WalkDir(dir, func(_ string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				files++
+			}
+			return nil
+		})
+		return files
+	}
+	small, large := restart(200), restart(2000)
+	if small != large {
+		t.Errorf("the store directory holds %d files at 200 formats and %d at 2000, want the same", small, large)
+	}
+}
+
+// TestWarmSharesTheStoresFormats drives the directory-server restart: the
+// lineages are recovered, then the catalogue is warmed against them from the
+// same store.  The catalogue must serve the store's own bytes (no copy),
+// re-registration against the recovered lineages must change nothing, a
+// stored format its lineage would not admit is skipped, and a registration
+// after AttachStore is written through to the pack.
+func TestWarmSharesTheStoresFormats(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir)
+	reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+	if _, err := s.PersistRegistry(reg); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 3; v++ {
+		if _, err := reg.Register("metric", chainFormat(t, "metric", v), "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// In the store but in no lineage, and not admissible to "metric".
+	stray, err := meta.Build("metric", platform.X8664, []meta.FieldDef{
+		{Name: "seq", Kind: meta.Integer, Class: platform.LongLong},
+		{Name: "val", Kind: meta.Integer, Class: platform.Int},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutFormat(stray); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2 := openTest(t, dir)
+	reg2 := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
+	if _, err := s2.PersistRegistry(reg2); err != nil {
+		t.Fatal(err)
+	}
+	rev := reg2.Rev()
+	cat := fmtserver.NewRegistry()
+	cat.AttachLineages(reg2)
+	warmed, err := cat.WarmFromStore(s2)
+	if err != nil || warmed != 3 {
+		t.Fatalf("warmed %d formats, %v; want the 3 the lineage admits", warmed, err)
+	}
+	if reg2.Rev() != rev {
+		t.Fatalf("warming against the recovered lineages moved the registry from rev %d to %d", rev, reg2.Rev())
+	}
+	if _, ok := cat.LookupCanonical(stray.ID()); ok {
+		t.Fatalf("the catalogue serves a format its lineage rejects")
+	}
+	s2.Formats(func(id meta.FormatID, canonical []byte, _ *meta.Format) bool {
+		if got, ok := cat.LookupCanonical(id); ok && &got[0] != &canonical[0] {
+			t.Errorf("format %s: the catalogue holds a copy of the store's bytes", id)
+		}
+		return true
+	})
+	cat.AttachStore(s2)
+	v4 := chainFormat(t, "metric", 4)
+	if _, err := cat.Register(v4); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.GetFormat(v4.ID()); err != nil || string(got.Canonical()) != string(v4.Canonical()) {
+		t.Fatalf("a registration after AttachStore did not reach the pack: %v", err)
 	}
 }
