@@ -43,7 +43,7 @@ func TestAblationFastPaths(t *testing.T) {
 	}
 	last := rows[len(rows)-1]
 	// At 100 KB the reflect loop must be measurably slower than the
-	// monomorphic fast path.
+	// block move.
 	if last.Speedup < 1.5 {
 		t.Errorf("fast-path speedup at %d B = %.2fx, expected > 1.5x",
 			last.PayloadBytes, last.Speedup)

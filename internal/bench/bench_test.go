@@ -185,6 +185,9 @@ func TestFig8Quick(t *testing.T) {
 		t.Fatalf("Fig8 rows = %d", len(rows))
 	}
 	last := rows[len(rows)-1]
+	if last.MemcpyNs <= 0 {
+		t.Errorf("memcpy floor not timed at 100 KB: %.0f ns", last.MemcpyNs)
+	}
 	if last.XMLNs <= last.PBIONs {
 		t.Errorf("XML (%.0f ns) should be slower than PBIO (%.0f ns) at 100 KB",
 			last.XMLNs, last.PBIONs)

@@ -253,9 +253,11 @@ func Fig7(o Options) ([]EncRow, error) {
 }
 
 // Fig8Row is one message size of Figure 8: send-side encode times for each
-// binary communication mechanism plus the XML wire format.
+// binary communication mechanism plus the XML wire format, against the
+// floor of a plain copy of PBIO's encoded bytes (MemcpyNs).
 type Fig8Row struct {
 	PayloadBytes int
+	MemcpyNs     float64
 	PBIONs       float64
 	MPINs        float64
 	CDRNs        float64
@@ -319,6 +321,16 @@ func Fig8(o Options) ([]Fig8Row, error) {
 
 		row := Fig8Row{PayloadBytes: size}
 		buf := make([]byte, 0, size*12)
+		body, err := pb.EncodeBody(nil, payload)
+		if err != nil {
+			return nil, err
+		}
+		if row.MemcpyNs, err = timeOp(o, func() error {
+			copy(buf[:len(body)], body)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
 		if row.PBIONs, err = timeOp(o, func() error {
 			_, err := pb.EncodeBody(buf[:0], payload)
 			return err

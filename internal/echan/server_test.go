@@ -80,11 +80,16 @@ func TestServerPubSub(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "weather" {
 		t.Errorf("List = %v, %v", names, err)
 	}
-	st, err := ctl.Stats("weather")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Published != 2 || st.Subscribers != 2 || st.Delivered < 3 {
+	// A subscriber can read its frame before the broker's writer goroutine
+	// has counted the delivery, so Delivered is polled, not read once.
+	var st ChannelStats
+	waitFor(t, "Delivered >= 3", func() bool {
+		if st, err = ctl.Stats("weather"); err != nil {
+			t.Fatal(err)
+		}
+		return st.Delivered >= 3
+	})
+	if st.Published != 2 || st.Subscribers != 2 {
 		t.Errorf("stats %+v", st)
 	}
 

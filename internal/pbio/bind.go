@@ -43,6 +43,7 @@ type encOp struct {
 	staticDim int
 	goField   int // Go struct field index, -1 for synthesized length fields
 	isDyn     bool
+	block     bool // array whose elements are one block move (blockMove)
 	lenOff    int  // dynamic: offset of the length field's slot
 	lenSize   int  // dynamic: wire size of the length field
 	firstDyn  bool // dynamic: first array using this length field
@@ -187,6 +188,7 @@ func compileEncoder(f *meta.Format, t reflect.Type) (*encProg, error) {
 		if err := checkElemType(f.Name, fl, ft); err != nil {
 			return nil, err
 		}
+		op.block = blockMove(fl, ft)
 		if fl.Kind == meta.Struct {
 			sub, err := compileEncoder(fl.Sub, ft)
 			if err != nil {

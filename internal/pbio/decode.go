@@ -3,6 +3,7 @@ package pbio
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 
 	"github.com/open-metadata/xmit/internal/meta"
@@ -105,6 +106,7 @@ type decOp struct {
 	size      int
 	staticDim int
 	isDyn     bool
+	block     bool // array whose elements are one block move (blockMove)
 	lenOff    int
 	lenSize   int
 	goField   int // -1: wire field skipped (receiver doesn't know it)
@@ -164,6 +166,7 @@ func compileDecoder(f *meta.Format, t reflect.Type) (*decProg, error) {
 			if err := checkElemType(f.Name, fl, et); err != nil {
 				return nil, err
 			}
+			op.block = blockMove(fl, et)
 			op.goField = gi
 			if fl.Kind == meta.Struct {
 				sub, err := compileDecoder(fl.Sub, et)
@@ -288,9 +291,9 @@ func setScalar(fv reflect.Value, kind meta.Kind, size int, bits uint64) {
 
 func floatFromBits(size int, bits uint64) float64 {
 	if size == 4 {
-		return float64(math32frombits(uint32(bits)))
+		return float64(math.Float32frombits(uint32(bits)))
 	}
-	return float64frombits(bits)
+	return math.Float64frombits(bits)
 }
 
 // intFromBits sign-extends signed wire integers to 64 bits.
@@ -353,9 +356,6 @@ func (d *decoder) decodeStatic(op *decOp, base int, fv reflect.Value) error {
 		if !d.arrayFits(off, op.staticDim, op.size) {
 			return fmt.Errorf("pbio: field %q: static array exceeds body", op.name)
 		}
-		// Go array fields take decodeElems' reflect loop (viewing an
-		// array as a slice allocates a header); slice fields hit the
-		// monomorphic fast paths.
 		d.decodeElems(op, off, op.staticDim, fv)
 		return nil
 	}
@@ -417,124 +417,17 @@ func (d *decoder) decodeDynamic(op *decOp, base int, fv reflect.Value) error {
 	return nil
 }
 
-// decodeElems converts the elements of a numeric dynamic array, with
-// monomorphic fast paths mirroring encodeElems.  As there, addressable
-// slices are reached through fv.Addr().Interface() — packing a pointer
-// into an interface allocates nothing — so steady-state decodes into a
-// reused struct are allocation-free.
+// decodeElems converts the elements of a numeric array, mirroring
+// encodeElems: one block move when op.block holds, the reflect loop
+// otherwise.  The caller has checked that n elements fit in the body.
 func (d *decoder) decodeElems(op *decOp, off, n int, fv reflect.Value) {
-	p := d.body[off:]
-	if fv.Kind() == reflect.Slice {
-		if fv.CanAddr() {
-			switch s := fv.Addr().Interface().(type) {
-			case *[]float32:
-				if op.size == 4 {
-					d.getFloat32s(p, *s)
-					return
-				}
-			case *[]float64:
-				if op.size == 8 {
-					d.getFloat64s(p, *s)
-					return
-				}
-			case *[]int32:
-				if op.size == 4 {
-					d.getInt32s(p, *s)
-					return
-				}
-			case *[]int64:
-				if op.size == 8 {
-					d.getInt64s(p, *s)
-					return
-				}
-			case *[]byte:
-				if op.size == 1 {
-					copy(*s, p[:n])
-					return
-				}
-			}
-		} else {
-			switch s := fv.Interface().(type) {
-			case []float32:
-				if op.size == 4 {
-					d.getFloat32s(p, s)
-					return
-				}
-			case []float64:
-				if op.size == 8 {
-					d.getFloat64s(p, s)
-					return
-				}
-			case []int32:
-				if op.size == 4 {
-					d.getInt32s(p, s)
-					return
-				}
-			case []int64:
-				if op.size == 8 {
-					d.getInt64s(p, s)
-					return
-				}
-			case []byte:
-				if op.size == 1 {
-					copy(s, p[:n])
-					return
-				}
-			}
-		}
+	if op.block && getBlock(fv, d.body[off:], op.size, d.big) {
+		return
 	}
 	elemOff := off
 	for k := 0; k < n; k++ {
 		bits, _ := d.getUint(elemOff, op.size) // bounds pre-checked by caller
 		setScalar(fv.Index(k), op.kind, op.size, bits)
 		elemOff += op.size
-	}
-}
-
-func (d *decoder) getFloat32s(p []byte, s []float32) {
-	if d.big {
-		for k := range s {
-			s[k] = math32frombits(binary.BigEndian.Uint32(p[4*k:]))
-		}
-	} else {
-		for k := range s {
-			s[k] = math32frombits(binary.LittleEndian.Uint32(p[4*k:]))
-		}
-	}
-}
-
-func (d *decoder) getFloat64s(p []byte, s []float64) {
-	if d.big {
-		for k := range s {
-			s[k] = float64frombits(binary.BigEndian.Uint64(p[8*k:]))
-		}
-	} else {
-		for k := range s {
-			s[k] = float64frombits(binary.LittleEndian.Uint64(p[8*k:]))
-		}
-	}
-}
-
-func (d *decoder) getInt32s(p []byte, s []int32) {
-	if d.big {
-		for k := range s {
-			s[k] = int32(binary.BigEndian.Uint32(p[4*k:]))
-		}
-	} else {
-		for k := range s {
-			s[k] = int32(binary.LittleEndian.Uint32(p[4*k:]))
-		}
-	}
-}
-
-func (d *decoder) getInt64s(p []byte, s []int64) {
-	if d.big {
-		for k := range s {
-			s[k] = int64(binary.BigEndian.Uint64(p[8*k:]))
-		}
-	} else {
-		for k := range s {
-			s[k] = int64(binary.LittleEndian.Uint64(p[8*k:]))
-		}
 	}
 }

@@ -116,6 +116,14 @@ func grow(b []byte, n int) []byte {
 	return append(b, make([]byte, n)...)
 }
 
+// extend is grow without the zeroing, for a region the caller overwrites.
+func extend(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b[:len(b)+n]
+	}
+	return append(b, make([]byte, n)...)
+}
+
 func (e *encoder) varOffset() int { return len(e.buf) - e.base }
 
 func (e *encoder) putUint(off, size int, v uint64) {
@@ -249,10 +257,6 @@ func (e *encoder) encodeStatic(op *encOp, base int, fv reflect.Value) error {
 			op.name, n, op.staticDim)
 	}
 	if op.kind != meta.Struct {
-		// Go array fields take encodeElems' reflect loop: viewing an
-		// array as a slice (reflect.Value.Slice) heap-allocates a slice
-		// header, and static arrays are small, so the loop is the
-		// allocation-free choice.  Slice-typed fields hit the fast paths.
 		e.encodeElems(op, base+op.off, fv)
 		return nil
 	}
@@ -288,136 +292,31 @@ func (e *encoder) encodeDynamic(p *encProg, op *encOp, base int, fv reflect.Valu
 			elemOff += op.sub.format.Size
 		}
 	} else {
-		e.buf = grow(e.buf, n*op.size)
+		switch op.size {
+		case 1, 2, 4, 8: // encodeElems writes every byte: no pre-zero
+			e.buf = extend(e.buf, n*op.size)
+		default:
+			e.buf = grow(e.buf, n*op.size)
+		}
 		e.encodeElems(op, off, fv)
 	}
 	e.putUint(base+op.off, e.ptr, uint64(off))
 	return nil
 }
 
-// encodeElems writes the elements of a numeric dynamic array.  Common
-// element types take a monomorphic fast path; anything else falls back to
-// the reflect loop.  The fast paths are what let the sender's encode cost
-// stay near memcpy speed for large scientific payloads.
-//
-// Addressable slices (fields of a struct passed by pointer, the normal
-// case) are reached through fv.Addr().Interface(): packing a pointer into
-// an interface stores it directly in the interface word, so the fast path
-// allocates nothing.  Non-addressable values fall back to fv.Interface(),
-// which may heap-box the slice header.
+// encodeElems writes the elements of a numeric array.  An array whose Go
+// element has the wire width and kind family (op.block) is one block move —
+// a copy when the wire order is the host's, a block swap otherwise (see
+// kernels.go); bools, enums, width changes and Go arrays passed by value
+// take the reflect loop.
 func (e *encoder) encodeElems(op *encOp, off int, fv reflect.Value) {
-	p := e.buf[e.base+off:]
-	if fv.Kind() == reflect.Slice {
-		if fv.CanAddr() {
-			switch s := fv.Addr().Interface().(type) {
-			case *[]float32:
-				if op.size == 4 {
-					e.putFloat32s(p, *s)
-					return
-				}
-			case *[]float64:
-				if op.size == 8 {
-					e.putFloat64s(p, *s)
-					return
-				}
-			case *[]int32:
-				if op.size == 4 {
-					e.putInt32s(p, *s)
-					return
-				}
-			case *[]int64:
-				if op.size == 8 {
-					e.putInt64s(p, *s)
-					return
-				}
-			case *[]byte:
-				if op.size == 1 {
-					copy(p, *s)
-					return
-				}
-			}
-		} else {
-			switch s := fv.Interface().(type) {
-			case []float32:
-				if op.size == 4 {
-					e.putFloat32s(p, s)
-					return
-				}
-			case []float64:
-				if op.size == 8 {
-					e.putFloat64s(p, s)
-					return
-				}
-			case []int32:
-				if op.size == 4 {
-					e.putInt32s(p, s)
-					return
-				}
-			case []int64:
-				if op.size == 8 {
-					e.putInt64s(p, s)
-					return
-				}
-			case []byte:
-				if op.size == 1 {
-					copy(p, s)
-					return
-				}
-			}
-		}
+	if op.block && putBlock(e.buf[e.base+off:], fv, op.size, e.big) {
+		return
 	}
 	n := fv.Len()
 	elemOff := off
 	for k := 0; k < n; k++ {
 		e.putScalar(elemOff, op.size, op.kind, fv.Index(k))
 		elemOff += op.size
-	}
-}
-
-func (e *encoder) putFloat32s(p []byte, s []float32) {
-	if e.big {
-		for k, x := range s {
-			binary.BigEndian.PutUint32(p[4*k:], math.Float32bits(x))
-		}
-	} else {
-		for k, x := range s {
-			binary.LittleEndian.PutUint32(p[4*k:], math.Float32bits(x))
-		}
-	}
-}
-
-func (e *encoder) putFloat64s(p []byte, s []float64) {
-	if e.big {
-		for k, x := range s {
-			binary.BigEndian.PutUint64(p[8*k:], math.Float64bits(x))
-		}
-	} else {
-		for k, x := range s {
-			binary.LittleEndian.PutUint64(p[8*k:], math.Float64bits(x))
-		}
-	}
-}
-
-func (e *encoder) putInt32s(p []byte, s []int32) {
-	if e.big {
-		for k, x := range s {
-			binary.BigEndian.PutUint32(p[4*k:], uint32(x))
-		}
-	} else {
-		for k, x := range s {
-			binary.LittleEndian.PutUint32(p[4*k:], uint32(x))
-		}
-	}
-}
-
-func (e *encoder) putInt64s(p []byte, s []int64) {
-	if e.big {
-		for k, x := range s {
-			binary.BigEndian.PutUint64(p[8*k:], uint64(x))
-		}
-	} else {
-		for k, x := range s {
-			binary.LittleEndian.PutUint64(p[8*k:], uint64(x))
-		}
 	}
 }
