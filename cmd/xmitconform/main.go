@@ -51,7 +51,7 @@ func main() {
 		if err := conform.SeedFuzzCorpora(*seedFuzz, 8); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("fuzz seed corpora written under %s (dom, pbio, echan, conform, discovery, store)\n", *seedFuzz)
+		fmt.Printf("fuzz seed corpora written under %s (dom, xsd, pbio, echan, conform, discovery, store)\n", *seedFuzz)
 	case *update:
 		if err := h.WriteGolden(*dir, conform.GoldenCount); err != nil {
 			fatal(err)

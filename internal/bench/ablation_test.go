@@ -14,7 +14,7 @@ func TestAblationRegistrationStages(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.ParseFastNs <= 0 || r.ParseStdNs <= 0 || r.ModelNs <= 0 ||
+		if r.ParseFastNs <= 0 || r.ParseStdNs <= 0 || r.StreamNs <= 0 ||
 			r.TranslateNs <= 0 || r.RegisterNs <= 0 {
 			t.Errorf("%s: non-positive stage timing: %+v", r.Name, r)
 		}

@@ -10,11 +10,13 @@ import (
 	"github.com/open-metadata/xmit/internal/discovery"
 	"github.com/open-metadata/xmit/internal/registry"
 	"github.com/open-metadata/xmit/internal/store"
+	"github.com/open-metadata/xmit/internal/xsd"
 )
 
 // SeedFuzzCorpora writes generator-derived seed corpora for the repo's
 // fuzz targets under root (the repository root): format-metadata XML for
-// the dom parser, PBIO wire bodies for the body decoder, broker control
+// the dom parser, the same formats as XML Schema documents for the schema
+// translator, PBIO wire bodies for the body decoder, broker control
 // lines built from generated names, gossiped lineage documents for the
 // federation merge path, and case seeds for this package's own
 // FuzzRoundTrip.  Seeding the fuzzers with structures the generator
@@ -29,6 +31,7 @@ func SeedFuzzCorpora(root string, n int) error {
 	}
 	targets := map[string]*target{
 		"dom":       {dir: filepath.Join(root, "internal", "dom", "testdata", "fuzz", "FuzzParse")},
+		"xsd":       {dir: filepath.Join(root, "internal", "xsd", "testdata", "fuzz", "FuzzSchema")},
 		"pbio":      {dir: filepath.Join(root, "internal", "pbio", "testdata", "fuzz", "FuzzDecodeBody")},
 		"echan":     {dir: filepath.Join(root, "internal", "echan", "testdata", "fuzz", "FuzzParseCommand")},
 		"conform":   {dir: filepath.Join(root, "internal", "conform", "testdata", "fuzz", "FuzzRoundTrip")},
@@ -45,6 +48,14 @@ func SeedFuzzCorpora(root string, n int) error {
 			return fmt.Errorf("conform: fuzz seed %d: %w", caseSeed, err)
 		}
 		targets["dom"].entries = append(targets["dom"].entries, bytesEntry([]byte(s.XML())))
+		for _, p := range h.Plats {
+			// The first platform whose layout the XML Schema builtins can
+			// describe.
+			if doc, err := xsd.FromFormat(cs.Format(p.Name)); err == nil {
+				targets["xsd"].entries = append(targets["xsd"].entries, bytesEntry([]byte(doc.String())))
+				break
+			}
+		}
 		for _, p := range h.Plats {
 			body, err := h.Drv[0].Encode(cs, cs.Format(p.Name), tree)
 			if err != nil {

@@ -10,7 +10,8 @@
 // GenerateGo).  Crucially, the translation output is indistinguishable from
 // compiled-in metadata, so marshaling performance is unchanged; only format
 // registration pays the XML parsing cost (the paper's Remote Discovery
-// Multiplier).
+// Multiplier): one pass over each schema document's tokens, with no element
+// tree in between (see internal/xsd).
 package core
 
 import (
@@ -124,7 +125,7 @@ func (t *Toolkit) loadURL(url string, visited map[string]bool) ([]string, error)
 	if err != nil {
 		return nil, err
 	}
-	schema, err := xsd.ParseString(string(data))
+	schema, err := xsd.ParseBytes(data)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +190,7 @@ func (t *Toolkit) LoadString(s string) ([]string, error) {
 }
 
 func (t *Toolkit) loadBytes(data []byte, url string) ([]string, error) {
-	schema, err := xsd.ParseString(string(data))
+	schema, err := xsd.ParseBytes(data)
 	if err != nil {
 		return nil, err
 	}
@@ -212,10 +213,14 @@ func (t *Toolkit) loadBytes(data []byte, url string) ([]string, error) {
 	return append(names, own...), nil
 }
 
+// install adds a document's definitions to the type space.  A document may
+// replace definitions it installed before; any other redefinition must be
+// identical, and an enumeration and a complexType never share a name.  The
+// whole document is checked before anything is installed, so a rejected
+// document leaves the type space as it was.
 func (t *Toolkit) install(schema *xsd.Schema, url string) ([]string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var names []string
 	for _, e := range schema.Enums {
 		if prev, ok := t.enums[e.Name]; ok && t.sourceOf[e.Name] != url {
 			if !sameEnum(prev, e) {
@@ -226,11 +231,6 @@ func (t *Toolkit) install(schema *xsd.Schema, url string) ([]string, error) {
 		if _, ok := t.types[e.Name]; ok {
 			return nil, fmt.Errorf("core: enumeration %q collides with a complexType", e.Name)
 		}
-		if _, ok := t.enums[e.Name]; !ok {
-			t.enumOrder = append(t.enumOrder, e.Name)
-		}
-		t.enums[e.Name] = e
-		t.sourceOf[e.Name] = url
 	}
 	for _, ct := range schema.Types {
 		if prev, ok := t.types[ct.Name]; ok && t.sourceOf[ct.Name] != url {
@@ -244,6 +244,16 @@ func (t *Toolkit) install(schema *xsd.Schema, url string) ([]string, error) {
 		if _, ok := t.enums[ct.Name]; ok {
 			return nil, fmt.Errorf("core: complexType %q collides with an enumeration", ct.Name)
 		}
+	}
+	for _, e := range schema.Enums {
+		if _, ok := t.enums[e.Name]; !ok {
+			t.enumOrder = append(t.enumOrder, e.Name)
+		}
+		t.enums[e.Name] = e
+		t.sourceOf[e.Name] = url
+	}
+	var names []string
+	for _, ct := range schema.Types {
 		if _, ok := t.types[ct.Name]; !ok {
 			t.order = append(t.order, ct.Name)
 		}
@@ -298,28 +308,16 @@ func (t *Toolkit) RefreshURL(url string) (changed bool, names []string, err erro
 	if !changed {
 		return false, nil, nil
 	}
-	schema, err := xsd.ParseString(string(data))
+	schema, err := xsd.ParseBytes(data)
 	if err != nil {
 		return true, nil, err
 	}
-	// Reinstall, allowing the refreshed document to replace its own types.
-	t.mu.Lock()
-	for _, e := range schema.Enums {
-		if _, ok := t.enums[e.Name]; !ok {
-			t.enumOrder = append(t.enumOrder, e.Name)
-		}
-		t.enums[e.Name] = e
-		t.sourceOf[e.Name] = url
+	// The refreshed document replaces its own definitions, under the same
+	// checks as a first load.
+	names, err = t.install(schema, url)
+	if err != nil {
+		return true, nil, err
 	}
-	for _, ct := range schema.Types {
-		if _, ok := t.types[ct.Name]; !ok {
-			t.order = append(t.order, ct.Name)
-		}
-		t.types[ct.Name] = ct
-		t.sourceOf[ct.Name] = url
-		names = append(names, ct.Name)
-	}
-	t.mu.Unlock()
 	return true, names, nil
 }
 

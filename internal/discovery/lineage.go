@@ -111,7 +111,9 @@ func ParseLineages(data []byte) ([]LineageDoc, error) {
 		if !ok || name == "" {
 			return nil, fmt.Errorf("discovery: lineage document: <lineage> missing name")
 		}
-		d := LineageDoc{Name: name}
+		// Clone what outlives the parse: the document's strings share its
+		// bytes, canonical format bodies included.
+		d := LineageDoc{Name: strings.Clone(name)}
 		if pol, ok := el.Attr("policy"); ok {
 			if d.Policy, err = registry.ParsePolicy(pol); err != nil {
 				return nil, fmt.Errorf("discovery: lineage %q: %w", name, err)

@@ -67,10 +67,11 @@ func ParseMeshDoc(data []byte) (MeshDoc, error) {
 	if !ok || self == "" {
 		return MeshDoc{}, fmt.Errorf("discovery: mesh document: missing self attribute")
 	}
-	d := MeshDoc{Self: self}
+	// Clone what outlives the parse: the document's strings share its bytes.
+	d := MeshDoc{Self: strings.Clone(self)}
 	for _, p := range doc.Root.ChildrenByName("peer") {
 		if addr, ok := p.Attr("addr"); ok && addr != "" {
-			d.Peers = append(d.Peers, addr)
+			d.Peers = append(d.Peers, strings.Clone(addr))
 		}
 	}
 	sort.Strings(d.Peers)

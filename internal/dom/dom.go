@@ -1,11 +1,15 @@
-// Package dom provides a small Document Object Model over XML documents:
-// parsing into an element tree, traversal, and serialisation back to XML.
+// Package dom reads XML documents: a pull tokenizer (Tokenizer), an element
+// tree built from its tokens (Parse, ParseBytes, ParseString), traversal,
+// and serialisation back to XML.
 //
-// XMIT's metadata translation is defined over a DOM (the original system
-// used the Xerces-C parser): the schema document is parsed once into a
-// tree, then subtrees corresponding to type definitions are extracted by
-// selective traversal.  This package reproduces that pipeline on top of
-// encoding/xml's tokenizer.
+// The original XMIT parsed each schema into a Xerces-C DOM tree and then
+// pulled type definitions out of it by selective traversal.  Here the
+// schema translator (internal/xsd) reads the tokenizer directly and builds
+// no tree; the tree serves the callers that want one (XML messages, RPC
+// envelopes, the lineage and mesh documents).  Strings in tokens and trees
+// are substrings of one copy of the document, so a caller that keeps a
+// short value from a large document should clone it.  ParseStd, built on
+// encoding/xml, is the reference the tokenizer is tested against.
 package dom
 
 import (
@@ -47,8 +51,8 @@ type Document struct {
 const maxDepth = 128
 
 // ParseStd reads an XML document into a tree using the standard library's
-// encoding/xml tokenizer.  It accepts the same documents as Parse (the fast
-// scanner in scan.go) and exists as the reference implementation for
+// encoding/xml tokenizer.  It accepts the same documents as Parse (the
+// tokenizer in scan.go) and exists as the reference implementation for
 // differential tests and for the parser ablation benchmark.
 func ParseStd(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
@@ -116,9 +120,13 @@ func ParseStdString(s string) (*Document, error) {
 // Attr returns the value of the named attribute (matching the local name;
 // any namespace) and whether it is present.
 func (e *Element) Attr(local string) (string, bool) {
-	for i := range e.Attrs {
-		if e.Attrs[i].Local == local {
-			return e.Attrs[i].Value, true
+	return attrValue(e.Attrs, local)
+}
+
+func attrValue(attrs []Attr, local string) (string, bool) {
+	for i := range attrs {
+		if attrs[i].Local == local {
+			return attrs[i].Value, true
 		}
 	}
 	return "", false
@@ -155,8 +163,7 @@ func (e *Element) FirstChild(local string) *Element {
 }
 
 // Descendants returns every element in the subtree (including e itself)
-// with the given local name, in document order.  This is the selective
-// traversal XMIT uses to pull complexType definitions out of a schema.
+// with the given local name, in document order.
 func (e *Element) Descendants(local string) []*Element {
 	var out []*Element
 	e.Walk(func(el *Element) bool {
@@ -282,11 +289,12 @@ func sortedURIs(m map[string]string) []string {
 }
 
 func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	// A literal carriage return would be read back as a newline.
+	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#13;")
 	return r.Replace(s)
 }
 
 func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&#34;")
+	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&#34;", "\r", "&#13;")
 	return r.Replace(s)
 }

@@ -1,6 +1,8 @@
 package dom
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -242,5 +244,64 @@ func BenchmarkParseStd(b *testing.B) {
 		if _, err := ParseStdString(sampleSchema); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestScannerLineEnds: literal "\r\n" and "\r" read as "\n" in text, CDATA
+// and attribute values, as encoding/xml reads them; "&#13;" stays a
+// carriage return and survives a write/parse round trip.
+func TestScannerLineEnds(t *testing.T) {
+	doc := "<a v=\"1\r\n2\r3\">x\r\ny\ry<![CDATA[\r\n]]>&#13;z<b/></a>"
+	for name, parse := range map[string]func(string) (*Document, error){"fast": ParseString, "std": ParseStdString} {
+		d, err := parse(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := d.Root.Attr("v"); v != "1\n2\n3" {
+			t.Errorf("%s: attr = %q", name, v)
+		}
+		if d.Root.Text != "x\ny\ny\n\rz" {
+			t.Errorf("%s: text = %q", name, d.Root.Text)
+		}
+		var sb strings.Builder
+		if err := d.WriteXML(&sb); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseString(sb.String())
+		if err != nil || !equalTrees(d.Root, back.Root) {
+			t.Errorf("%s: round trip: %v\n%s", name, err, sb.String())
+		}
+	}
+}
+
+// TestTokenizerStream: the token sequence, with a self-closing tag's
+// EndElement, char data merged across a comment, and nothing outside the
+// root; Next keeps returning the final io.EOF.
+func TestTokenizerStream(t *testing.T) {
+	tz := NewTokenizer(`<?xml version="1.0"?> <p:a xmlns:p="urn:x" k="v">one<!-- c -->two<b/></p:a> `)
+	var got []string
+	for {
+		tok, err := tz.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch tok.Kind {
+		case StartElement:
+			got = append(got, fmt.Sprintf("<%s %s %v>", tok.Space, tok.Local, tok.Attrs))
+		case EndElement:
+			got = append(got, "</"+tok.Local+">")
+		case CharData:
+			got = append(got, tok.Text)
+		}
+	}
+	want := []string{"<urn:x a [{ k v}]>", "onetwo", "< b []>", "</b>", "</a>"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("tokens = %q\nwant %q", got, want)
+	}
+	if _, err := tz.Next(); err != io.EOF {
+		t.Errorf("Next after the end = %v, want io.EOF", err)
 	}
 }

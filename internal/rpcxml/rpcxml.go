@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 
 	"github.com/open-metadata/xmit/internal/dom"
@@ -260,7 +261,7 @@ func (c *Client) CallRecord(method string, req *pbio.Record, respFmt *meta.Forma
 		return nil, fmt.Errorf("rpcxml: reply root is <%s>", doc.Root.Local)
 	}
 	if f := doc.Root.FirstChild("fault"); f != nil {
-		return nil, &Fault{Message: f.Text}
+		return nil, &Fault{Message: strings.Clone(f.Text)}
 	}
 	payload := doc.Root.FirstChild(respFmt.Name)
 	if payload == nil {
@@ -353,7 +354,7 @@ func (c *Client) Call(method string, reqFmt *meta.Format, req any, respFmt *meta
 		return fmt.Errorf("rpcxml: reply root is <%s>", doc.Root.Local)
 	}
 	if f := doc.Root.FirstChild("fault"); f != nil {
-		return &Fault{Message: f.Text}
+		return &Fault{Message: strings.Clone(f.Text)}
 	}
 	payload := doc.Root.FirstChild(respFmt.Name)
 	if payload == nil {

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/open-metadata/xmit/internal/discovery"
 	"github.com/open-metadata/xmit/internal/meta"
@@ -288,150 +287,6 @@ func TestPackCorruptionEndsPack(t *testing.T) {
 			t.Errorf("format %s served from at or beyond the flipped record", f.ID())
 		}
 	}
-}
-
-// oldLayout rewrites a store directory the way the commit before the pack
-// laid it out: every format a blob file under blobs/ and a manifest under
-// plans/, no formats.pack.  It returns the blob paths, in pack order.
-func oldLayout(t *testing.T, dir string) (blobs []string) {
-	t.Helper()
-	var ix packIndex
-	ix.load(readFile(t, filepath.Join(dir, packName)))
-	if err := os.Remove(filepath.Join(dir, packName)); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ix.order {
-		blob := filepath.Join(dir, "blobs", e.id.String()[:2], e.id.String())
-		plan := filepath.Join(dir, "plans", e.id.String()+".json")
-		for path, data := range map[string][]byte{blob: e.data, plan: []byte(`{"id":"` + e.id.String() + `"}`)} {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		blobs = append(blobs, blob)
-	}
-	return blobs
-}
-
-// TestImportOldLayout opens a directory in the pre-pack layout: the formats
-// move into the pack once, plans/ and the format blobs go, a blob a stored
-// document shares with a format stays, and recovery reproduces the lineage
-// document.  The import is idempotent under a kill at any of its stages —
-// mid-append, after the fsync with some blobs removed, and mid-removal of
-// plans/ — the next Open finishes it with no format lost or duplicated.
-func TestImportOldLayout(t *testing.T) {
-	const versions = 4
-	seed := func(t *testing.T) (dir, doc string, blobs []string) {
-		dir = t.TempDir()
-		s := openTest(t, dir)
-		reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
-		if _, err := s.PersistRegistry(reg); err != nil {
-			t.Fatal(err)
-		}
-		for v := 1; v <= versions; v++ {
-			if _, err := reg.Register("metric", chainFormat(t, "metric", v), "test"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// A document whose payload is byte-identical to a format body.
-		if err := s.StoreDocument("http://x/v1", chainFormat(t, "metric", 1).Canonical(), "", "", time.Now()); err != nil {
-			t.Fatal(err)
-		}
-		doc = string(discovery.MarshalLineages(discovery.SnapshotLineagesFull(reg)))
-		s.Close()
-		return dir, doc, oldLayout(t, dir)
-	}
-	imported := func(t *testing.T, dir, doc string, blobs []string) {
-		t.Helper()
-		s := openTest(t, dir)
-		defer s.Close()
-		reg := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
-		rs, err := s.RecoverRegistry(reg)
-		if err != nil || rs.MissingBlobs != 0 || rs.Versions != versions {
-			t.Fatalf("recovery after import: %+v, %v", rs, err)
-		}
-		if got := string(discovery.MarshalLineages(discovery.SnapshotLineagesFull(reg))); got != doc {
-			t.Fatalf("lineage document changed across the import\n got: %s\nwant: %s", got, doc)
-		}
-		var ix packIndex
-		pack := readFile(t, s.packPath())
-		if clean, _ := ix.load(pack); clean != len(pack) || len(ix.order) != versions {
-			t.Fatalf("pack holds %d formats in %d clean of %d bytes, want %d formats", len(ix.order), clean, len(pack), versions)
-		}
-		frames := 0
-		for rest := pack; len(rest) > 0; frames++ {
-			_, rest, _ = nextFrame(rest, maxBlobSize)
-		}
-		if frames != versions {
-			t.Fatalf("pack holds %d records for %d formats: a format was imported twice", frames, versions)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "plans")); !os.IsNotExist(err) {
-			t.Fatalf("plans/ survived the import: %v", err)
-		}
-		for i, blob := range blobs {
-			_, err := os.Stat(blob)
-			if shared := i == 0; shared != (err == nil) {
-				t.Fatalf("blob %d after the import: %v (shared with a document: %v)", i, err, shared)
-			}
-		}
-		if data, _, _, _, ok := s.LoadDocument("http://x/v1"); !ok || string(data) != string(chainFormat(t, "metric", 1).Canonical()) {
-			t.Fatalf("the document sharing a format's blob was lost by the import")
-		}
-	}
-
-	t.Run("clean", func(t *testing.T) {
-		dir, doc, blobs := seed(t)
-		imported(t, dir, doc, blobs)
-		before := readFile(t, filepath.Join(dir, packName))
-		imported(t, dir, doc, blobs) // a second Open finds nothing to import
-		if after := readFile(t, filepath.Join(dir, packName)); string(after) != string(before) {
-			t.Fatalf("a second Open changed the pack")
-		}
-	})
-	t.Run("killed mid-append", func(t *testing.T) {
-		dir, doc, blobs := seed(t)
-		torn := appendFrame(nil, readFile(t, blobs[0]))
-		torn = append(torn, appendFrame(nil, readFile(t, blobs[1]))[:20]...)
-		if err := os.WriteFile(filepath.Join(dir, packName), torn, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		imported(t, dir, doc, blobs)
-	})
-	t.Run("killed removing blobs", func(t *testing.T) {
-		dir, doc, blobs := seed(t)
-		var pack []byte
-		for _, blob := range blobs {
-			pack = appendFrame(pack, readFile(t, blob))
-		}
-		if err := os.WriteFile(filepath.Join(dir, packName), pack, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for _, blob := range blobs[1:3] {
-			os.Remove(blob)
-		}
-		imported(t, dir, doc, blobs)
-	})
-	t.Run("killed removing plans", func(t *testing.T) {
-		dir, doc, blobs := seed(t)
-		var pack []byte
-		for _, blob := range blobs {
-			pack = appendFrame(pack, readFile(t, blob))
-		}
-		if err := os.WriteFile(filepath.Join(dir, packName), pack, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for _, blob := range blobs[1:] {
-			os.Remove(blob)
-		}
-		plans, _ := os.ReadDir(filepath.Join(dir, "plans"))
-		for _, ent := range plans[:2] {
-			os.Remove(filepath.Join(dir, "plans", ent.Name()))
-		}
-		imported(t, dir, doc, blobs)
-	})
 }
 
 // TestConcurrentRegisterSnapshotRecover hammers one store with concurrent

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
+
+	"github.com/open-metadata/xmit/internal/meta"
 )
 
 // The document tier persists fetched metadata documents for
@@ -81,17 +84,11 @@ func (s *Store) LoadDocument(url string) (data []byte, etag, lastModified string
 // Documents lists every URL with a persisted document — the warm-cache
 // enumeration a cold-starting Repository iterates.
 func (s *Store) Documents() []string {
-	var out []string
-	s.eachDocument(func(e docEntry) { out = append(out, e.URL) })
-	return out
-}
-
-// eachDocument calls fn with every readable index entry under docs/.
-func (s *Store) eachDocument(fn func(docEntry)) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "docs"))
 	if err != nil {
-		return
+		return nil
 	}
+	var out []string
 	for _, ent := range entries {
 		if !strings.HasSuffix(ent.Name(), ".json") {
 			continue
@@ -102,7 +99,17 @@ func (s *Store) eachDocument(fn func(docEntry)) {
 		}
 		var e docEntry
 		if json.Unmarshal(buf, &e) == nil && e.URL != "" {
-			fn(e)
+			out = append(out, e.URL)
 		}
 	}
+	return out
+}
+
+// parseID parses the 16-hex form of a content hash.
+func parseID(hex string) (meta.FormatID, error) {
+	if len(hex) != 16 {
+		return 0, fmt.Errorf("store: %q is not a 16-hex content hash", hex)
+	}
+	id, err := strconv.ParseUint(hex, 16, 64)
+	return meta.FormatID(id), err
 }

@@ -2,10 +2,7 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/open-metadata/xmit/internal/meta"
@@ -169,67 +166,4 @@ func (s *Store) Formats(yield func(id meta.FormatID, canonical []byte, f *meta.F
 			return
 		}
 	}
-}
-
-// importOldLayout moves a store written before the pack existed into it:
-// formats used to be one file each under blobs/, listed by a manifest each
-// under plans/.  Every listed blob that still hashes to its key is appended
-// to the pack, the pack is fsynced, and only then do plans/ and the imported
-// blob files go.  plans/ is the marker: while it exists a crashed import is
-// simply run again — bodies already in the pack are skipped, blob files
-// already removed are in the pack.  Blobs that a stored document also refers
-// to stay where they are.
-func (s *Store) importOldLayout() error {
-	plans := filepath.Join(s.dir, "plans")
-	entries, err := os.ReadDir(plans)
-	if err != nil {
-		return nil // no plans/: nothing to import, the only case after the first Open
-	}
-	inUse := map[meta.FormatID]bool{}
-	s.eachDocument(func(e docEntry) {
-		if id, err := parseID(e.Blob); err == nil {
-			inUse[id] = true
-		}
-	})
-	var imported []string
-	for _, ent := range entries {
-		id, err := parseID(strings.TrimSuffix(ent.Name(), ".json"))
-		if err != nil {
-			continue
-		}
-		if _, ok := s.formats.byID[id]; !ok {
-			data, err := s.GetBlob(id)
-			if err != nil {
-				continue // missing or corrupt (GetBlob counted it): nothing to carry over
-			}
-			if err := appendLog(s.pack, data, false); err != nil {
-				return err
-			}
-			s.formats.add(id, data) // GetBlob checked data against id
-			s.stats.formatReads.Inc()
-		}
-		if !inUse[id] {
-			imported = append(imported, s.blobPath(id))
-		}
-	}
-	if err := s.pack.Sync(); err != nil {
-		return fmt.Errorf("store: syncing %s: %w", s.pack.Name(), err)
-	}
-	for _, path := range imported {
-		os.Remove(path)
-		os.Remove(filepath.Dir(path)) // the fan-out directory, once it is empty
-	}
-	if err := os.RemoveAll(plans); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// parseID parses the 16-hex form of a content hash.
-func parseID(hex string) (meta.FormatID, error) {
-	if len(hex) != 16 {
-		return 0, fmt.Errorf("store: %q is not a 16-hex content hash", hex)
-	}
-	id, err := strconv.ParseUint(hex, 16, 64)
-	return meta.FormatID(id), err
 }

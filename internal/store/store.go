@@ -42,9 +42,6 @@
 //	snapshot.prev         previous snapshot, the torn-snapshot fallback
 //	docs/<16-hex>.json    per-URL document index entries
 //	blobs/<hh>/<16-hex>   document payloads (hh = first hash byte)
-//
-// A directory written before the pack existed (one blob file and one
-// plans/<id>.json manifest per format) is imported once, on Open.
 package store
 
 import (
@@ -155,7 +152,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		}
 	}
 	s.sweepTemp()
-	for _, step := range []func() error{s.openPack, s.importOldLayout, s.openJournal} {
+	for _, step := range []func() error{s.openPack, s.openJournal} {
 		if err := step(); err != nil {
 			s.Close()
 			return nil, err

@@ -67,8 +67,12 @@ func decodeElemField(child *dom.Element, b *refbind.Bound, v reflect.Value, coun
 	} else {
 		target = fv
 	}
-	if fl.Kind == meta.Struct {
+	switch fl.Kind {
+	case meta.Struct:
 		return decodeElemStruct(child, b.Sub, target)
+	case meta.String:
+		// The text is a substring of the whole parsed envelope.
+		return setFromText(fl, target, strings.Clone(child.Text))
 	}
 	return setFromText(fl, target, child.Text)
 }

@@ -214,7 +214,8 @@ func recordValueOf(fl *meta.Field, el *dom.Element) (any, error) {
 	case meta.Struct:
 		return DecodeRecordElement(fl.Sub, el)
 	case meta.String:
-		return el.Text, nil
+		// The text is a substring of the whole parsed message.
+		return strings.Clone(el.Text), nil
 	case meta.Float:
 		x, err := strconv.ParseFloat(strings.TrimSpace(el.Text), 64)
 		if err != nil {

@@ -24,46 +24,106 @@ import (
 //     introduces an integer element placed just before the array
 //     (dimensionPlacement="before", the only supported placement).
 func Parse(r io.Reader) (*Schema, error) {
-	doc, err := dom.Parse(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("xsd: %w", err)
+		return nil, fmt.Errorf("xsd: dom: %w", err)
 	}
-	return FromDocument(doc)
+	return ParseBytes(data)
 }
 
-// ParseString parses a schema held in a string.
+// ParseBytes parses a schema held in a byte slice.  The schema's strings
+// share one copy of data.
+func ParseBytes(data []byte) (*Schema, error) {
+	return ParseString(string(data))
+}
+
+// ParseString parses a schema held in a string; the schema's strings are
+// substrings of s.
 func ParseString(s string) (*Schema, error) {
-	return Parse(strings.NewReader(s))
+	tr := translator{schema: &Schema{}}
+	return tr.run(dom.NewTokenizer(s))
 }
 
-// FromDocument extracts a Schema from an already parsed document.
-func FromDocument(doc *dom.Document) (*Schema, error) {
-	root := doc.Root
-	if root.Local != "schema" {
-		return nil, fmt.Errorf("xsd: root element is <%s>, want <schema>", root.Local)
-	}
-	s := &Schema{}
-	for _, inc := range root.ChildrenByName("include") {
-		loc, ok := inc.Attr("schemaLocation")
-		if !ok || loc == "" {
-			return nil, fmt.Errorf("xsd: include at %s has no schemaLocation", inc.Path())
+// The translator reads the document's tokens once, in order, and builds no
+// element tree.  It applies the rules a tree walk over the whole document
+// would: include and simpleType count only as children of the root,
+// complexType anywhere below it, and element anywhere below a complexType
+// (so both the paper's bare style and <xsd:sequence> wrappers work).  A
+// definition's Doc is the text of the first documentation child of its
+// first annotation child.  Errors take the precedence of that walk, not the
+// order in which the stream meets them: a syntax error anywhere wins, then
+// the root, then includes, simpleTypes and complexTypes — of these, the
+// first in document order — then an empty document, then Validate.
+type translator struct {
+	schema *Schema
+	stack  []frame // open elements, the root first
+	openCT []int   // stack indices of the open complexType frames
+
+	rootErr, includeErr, simpleErr error
+	// complexErr is the error of the first complexType in document order
+	// that has one; complexErrAt is that complexType's ordinal.
+	complexErr   error
+	complexErrAt int
+	complexTypes int // complexTypes started so far
+}
+
+type frameKind uint8
+
+const (
+	otherFrame         frameKind = iota
+	simpleTypeFrame              // a simpleType child of the root
+	restrictionFrame             // the first restriction child of a simpleTypeFrame
+	complexTypeFrame             // a complexType
+	elementFrame                 // an element declared in at least one complexType
+	annotationFrame              // the first annotation child of one of the three above
+	documentationFrame           // the first documentation child of an annotationFrame
+)
+
+// frame is one open element.
+type frame struct {
+	kind  frameKind
+	local string
+	// annotated is set once the frame's first annotation child (or, on an
+	// annotationFrame, its first documentation child) has started.
+	annotated bool
+	// restricted is set once a simpleTypeFrame's first restriction child
+	// has started.
+	restricted bool
+
+	enum *EnumType    // simpleTypeFrame, restrictionFrame
+	ct   *ComplexType // complexTypeFrame
+	at   int          // complexTypeFrame: ordinal in document order
+	err  error        // complexTypeFrame: the first error in its subtree
+	decl *ElementDecl // elementFrame; shared by every complexType declaring it
+	text string       // documentationFrame: direct character data so far
+}
+
+func (tr *translator) run(tz *dom.Tokenizer) (*Schema, error) {
+	for {
+		tok, err := tz.Next()
+		if err == io.EOF {
+			break
 		}
-		s.Includes = append(s.Includes, loc)
+		if err != nil {
+			return nil, fmt.Errorf("xsd: %w", err)
+		}
+		switch tok.Kind {
+		case dom.StartElement:
+			tr.start(tok)
+		case dom.EndElement:
+			tr.end()
+		case dom.CharData:
+			if f := &tr.stack[len(tr.stack)-1]; f.kind == documentationFrame {
+				f.text += tok.Text
+			}
+		}
 	}
-	for _, stEl := range root.ChildrenByName("simpleType") {
-		e, err := parseSimpleType(stEl)
+	for _, err := range []error{tr.rootErr, tr.includeErr, tr.simpleErr, tr.complexErr} {
 		if err != nil {
 			return nil, err
 		}
-		s.Enums = append(s.Enums, e)
 	}
-	for _, ctEl := range root.Descendants("complexType") {
-		ct, err := parseComplexType(ctEl)
-		if err != nil {
-			return nil, err
-		}
-		s.Types = append(s.Types, ct)
-	}
+	s := tr.schema
 	if len(s.Types) == 0 && len(s.Includes) == 0 && len(s.Enums) == 0 {
 		return nil, fmt.Errorf("xsd: document defines no complexType")
 	}
@@ -73,67 +133,164 @@ func FromDocument(doc *dom.Document) (*Schema, error) {
 	return s, nil
 }
 
-// parseSimpleType handles the enumeration idiom:
-//
-//	<xsd:simpleType name="Phase">
-//	  <xsd:restriction base="xsd:string">
-//	    <xsd:enumeration value="solid" /> ...
-//	  </xsd:restriction>
-//	</xsd:simpleType>
-func parseSimpleType(stEl *dom.Element) (*EnumType, error) {
-	name, ok := stEl.Attr("name")
-	if !ok || name == "" {
-		return nil, fmt.Errorf("xsd: simpleType at %s has no name", stEl.Path())
+func (tr *translator) start(tok *dom.Token) {
+	f := frame{local: tok.Local}
+	depth := len(tr.stack)
+	var parent *frame
+	if depth > 0 {
+		parent = &tr.stack[depth-1]
 	}
-	doc := docOf(stEl)
-	restr := stEl.FirstChild("restriction")
-	if restr == nil {
-		return nil, fmt.Errorf("xsd: simpleType %q: only restriction-based enumerations are supported", name)
-	}
-	e := &EnumType{Name: name, Doc: doc}
-	for _, enum := range restr.ChildrenByName("enumeration") {
-		v, ok := enum.Attr("value")
+	switch {
+	case depth == 0:
+		if tok.Local != "schema" {
+			tr.rootErr = fmt.Errorf("xsd: root element is <%s>, want <schema>", tok.Local)
+		}
+	case tr.rootErr != nil:
+		// Not a schema: only the syntax check is left to run.
+	case depth == 1 && tok.Local == "include":
+		loc, ok := tok.Attr("schemaLocation")
+		if !ok || loc == "" {
+			if tr.includeErr == nil {
+				tr.includeErr = fmt.Errorf("xsd: include at %s has no schemaLocation", tr.path(tok.Local))
+			}
+			break
+		}
+		tr.schema.Includes = append(tr.schema.Includes, loc)
+	case depth == 1 && tok.Local == "simpleType":
+		if tr.simpleErr != nil {
+			break // only the first failing simpleType counts
+		}
+		name, ok := tok.Attr("name")
+		if !ok || name == "" {
+			tr.simpleErr = fmt.Errorf("xsd: simpleType at %s has no name", tr.path(tok.Local))
+			break
+		}
+		f.kind, f.enum = simpleTypeFrame, &EnumType{Name: name}
+		tr.schema.Enums = append(tr.schema.Enums, f.enum)
+	case tok.Local == "restriction" && parent.kind == simpleTypeFrame && !parent.restricted:
+		parent.restricted = true
+		f.kind, f.enum = restrictionFrame, parent.enum
+	case tok.Local == "enumeration" && parent.kind == restrictionFrame:
+		if tr.simpleErr != nil {
+			break
+		}
+		v, ok := tok.Attr("value")
 		if !ok {
-			return nil, fmt.Errorf("xsd: simpleType %q: enumeration without a value", name)
+			tr.simpleErr = fmt.Errorf("xsd: simpleType %q: enumeration without a value", parent.enum.Name)
+			break
 		}
-		e.Values = append(e.Values, v)
+		parent.enum.Values = append(parent.enum.Values, v)
+	case tok.Local == "complexType":
+		f.kind, f.at = complexTypeFrame, tr.complexTypes
+		tr.complexTypes++
+		name, ok := tok.Attr("name")
+		if !ok || name == "" {
+			tr.failComplex(&f, fmt.Errorf("xsd: complexType at %s has no name attribute", tr.path(tok.Local)))
+		} else {
+			f.ct = &ComplexType{Name: name}
+			tr.schema.Types = append(tr.schema.Types, f.ct)
+		}
+		tr.openCT = append(tr.openCT, depth)
+	case tok.Local == "element" && len(tr.openCT) > 0:
+		tr.declare(&f, tok)
+	case tok.Local == "annotation" && documented(parent.kind) && !parent.annotated:
+		parent.annotated = true
+		f.kind = annotationFrame
+	case tok.Local == "documentation" && parent.kind == annotationFrame && !parent.annotated:
+		parent.annotated = true
+		f.kind = documentationFrame
 	}
-	if len(e.Values) == 0 {
-		return nil, fmt.Errorf("xsd: simpleType %q: no enumeration values", name)
-	}
-	return e, nil
+	tr.stack = append(tr.stack, f)
 }
 
-func parseComplexType(ctEl *dom.Element) (*ComplexType, error) {
-	name, ok := ctEl.Attr("name")
-	if !ok || name == "" {
-		return nil, fmt.Errorf("xsd: complexType at %s has no name attribute", ctEl.Path())
-	}
-	ct := &ComplexType{Name: name, Doc: docOf(ctEl)}
-	// Collect element declarations anywhere below the complexType, so
-	// that both the paper's bare style and standard <xsd:sequence>
-	// wrappers are accepted.
-	for _, el := range ctEl.Descendants("element") {
-		decl, err := parseElement(ct.Name, el)
-		if err != nil {
-			return nil, err
+// declare adds the element declaration tok opens to every open complexType,
+// innermost last, as a walk over each complexType's subtree would.
+func (tr *translator) declare(f *frame, tok *dom.Token) {
+	for _, i := range tr.openCT {
+		c := &tr.stack[i]
+		if c.err != nil {
+			continue
 		}
-		ct.Elements = append(ct.Elements, decl)
+		if f.decl == nil {
+			d, err := tr.parseElement(c.ct.Name, tok)
+			if err != nil {
+				tr.failComplex(c, err)
+				continue
+			}
+			f.kind, f.decl = elementFrame, d
+		}
+		c.ct.Elements = append(c.ct.Elements, f.decl)
 	}
-	if len(ct.Elements) == 0 {
-		return nil, fmt.Errorf("xsd: complexType %q declares no elements", name)
-	}
-	synthesizeDimensions(ct)
-	return ct, nil
 }
 
-func parseElement(typeName string, el *dom.Element) (*ElementDecl, error) {
-	d := &ElementDecl{Doc: docOf(el)}
+func documented(k frameKind) bool {
+	return k == simpleTypeFrame || k == complexTypeFrame || k == elementFrame
+}
+
+// failComplex records a complexType's first error.
+func (tr *translator) failComplex(c *frame, err error) {
+	c.err = err
+	if tr.complexErr == nil || c.at < tr.complexErrAt {
+		tr.complexErr, tr.complexErrAt = err, c.at
+	}
+}
+
+func (tr *translator) end() {
+	n := len(tr.stack) - 1
+	f := &tr.stack[n]
+	switch f.kind {
+	case simpleTypeFrame:
+		switch {
+		case tr.simpleErr != nil:
+		case !f.restricted:
+			tr.simpleErr = fmt.Errorf("xsd: simpleType %q: only restriction-based enumerations are supported", f.enum.Name)
+		case len(f.enum.Values) == 0:
+			tr.simpleErr = fmt.Errorf("xsd: simpleType %q: no enumeration values", f.enum.Name)
+		}
+	case complexTypeFrame:
+		tr.openCT = tr.openCT[:len(tr.openCT)-1]
+		if f.err == nil {
+			if len(f.ct.Elements) == 0 {
+				tr.failComplex(f, fmt.Errorf("xsd: complexType %q declares no elements", f.ct.Name))
+			} else {
+				synthesizeDimensions(f.ct)
+			}
+		}
+	case documentationFrame:
+		doc := strings.TrimSpace(f.text)
+		switch owner := &tr.stack[n-2]; owner.kind {
+		case simpleTypeFrame:
+			owner.enum.Doc = doc
+		case complexTypeFrame:
+			if owner.ct != nil {
+				owner.ct.Doc = doc
+			}
+		case elementFrame:
+			owner.decl.Doc = doc
+		}
+	}
+	tr.stack = tr.stack[:n]
+}
+
+// path is the slash-separated local-name path to a child of the innermost
+// open element, for diagnostics.
+func (tr *translator) path(local string) string {
+	var b strings.Builder
+	for _, f := range tr.stack {
+		b.WriteString(f.local)
+		b.WriteByte('/')
+	}
+	b.WriteString(local)
+	return b.String()
+}
+
+func (tr *translator) parseElement(typeName string, tok *dom.Token) (*ElementDecl, error) {
+	d := &ElementDecl{}
 	var ok bool
-	if d.Name, ok = el.Attr("name"); !ok || d.Name == "" {
-		return nil, fmt.Errorf("xsd: complexType %q: element at %s has no name", typeName, el.Path())
+	if d.Name, ok = tok.Attr("name"); !ok || d.Name == "" {
+		return nil, fmt.Errorf("xsd: complexType %q: element at %s has no name", typeName, tr.path(tok.Local))
 	}
-	if d.TypeName, ok = el.Attr("type"); !ok || d.TypeName == "" {
+	if d.TypeName, ok = tok.Attr("type"); !ok || d.TypeName == "" {
 		return nil, fmt.Errorf("xsd: complexType %q: element %q has no type", typeName, d.Name)
 	}
 	local := d.TypeName
@@ -146,7 +303,7 @@ func parseElement(typeName string, el *dom.Element) (*ElementDecl, error) {
 		d.Ref = local
 	}
 
-	if mo, ok := el.Attr("minOccurs"); ok {
+	if mo, ok := tok.Attr("minOccurs"); ok {
 		n, err := strconv.Atoi(mo)
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("xsd: complexType %q: element %q: bad minOccurs %q", typeName, d.Name, mo)
@@ -156,14 +313,13 @@ func parseElement(typeName string, el *dom.Element) (*ElementDecl, error) {
 		d.MinOccurs = 1
 	}
 
-	dimName, _ := el.Attr("dimensionName")
-	placement := el.AttrDefault("dimensionPlacement", "before")
-	if placement != "before" {
+	dimName, _ := tok.Attr("dimensionName")
+	if placement, ok := tok.Attr("dimensionPlacement"); ok && placement != "before" {
 		return nil, fmt.Errorf("xsd: complexType %q: element %q: unsupported dimensionPlacement %q (only \"before\")",
 			typeName, d.Name, placement)
 	}
 
-	mo, hasMax := el.Attr("maxOccurs")
+	mo, hasMax := tok.Attr("maxOccurs")
 	switch {
 	case !hasMax || mo == "1":
 		d.Occurs = OccursOne
@@ -199,29 +355,18 @@ func parseElement(typeName string, el *dom.Element) (*ElementDecl, error) {
 	return d, nil
 }
 
-// docOf extracts an element's xsd:annotation/xsd:documentation text.
-func docOf(el *dom.Element) string {
-	if ann := el.FirstChild("annotation"); ann != nil {
-		if doc := ann.FirstChild("documentation"); doc != nil {
-			return doc.Text
-		}
-	}
-	return ""
-}
-
 // synthesizeDimensions inserts implicit integer length elements for dynamic
 // arrays whose dimensionName references no declared element, immediately
 // before the array (the paper's dimensionPlacement="before" convention,
 // which is how SimpleData's "size" member arises from a two-element
-// schema).
+// schema).  A type that needs none keeps its element slice.
 func synthesizeDimensions(ct *ComplexType) {
-	declared := map[string]bool{}
-	for _, el := range ct.Elements {
-		declared[el.Name] = true
-	}
-	var out []*ElementDecl
-	for _, el := range ct.Elements {
-		if el.Occurs == OccursDynamic && !declared[el.DimField] {
+	var out []*ElementDecl // nil until the first synthesized element
+	for i, el := range ct.Elements {
+		if el.Occurs == OccursDynamic && !declares(ct.Elements, el.DimField) && !declares(out, el.DimField) {
+			if out == nil {
+				out = append(make([]*ElementDecl, 0, len(ct.Elements)+1), ct.Elements[:i]...)
+			}
 			out = append(out, &ElementDecl{
 				Name:        el.DimField,
 				TypeName:    "xsd:int",
@@ -230,9 +375,21 @@ func synthesizeDimensions(ct *ComplexType) {
 				MinOccurs:   1,
 				Synthesized: true,
 			})
-			declared[el.DimField] = true
 		}
-		out = append(out, el)
+		if out != nil {
+			out = append(out, el)
+		}
 	}
-	ct.Elements = out
+	if out != nil {
+		ct.Elements = out
+	}
+}
+
+func declares(els []*ElementDecl, name string) bool {
+	for _, el := range els {
+		if el.Name == name {
+			return true
+		}
+	}
+	return false
 }

@@ -4,6 +4,10 @@
 // Schema built-in simple types or previously defined complexTypes, with the
 // paper's array conventions (maxOccurs numeric / "*" / field name, and the
 // dimensionName / dimensionPlacement extension for dynamically sized data).
+//
+// Parse translates a schema document in one pass over internal/dom's
+// tokens, building no element tree; Schema.String renders a schema back
+// into a document.
 package xsd
 
 import (
@@ -213,16 +217,14 @@ func (s *Schema) Validate() error {
 }
 
 func (ct *ComplexType) validate() error {
-	elemSeen := map[string]bool{}
 	byName := map[string]*ElementDecl{}
 	for _, el := range ct.Elements {
 		if el.Name == "" {
 			return fmt.Errorf("xsd: complexType %q: element with no name", ct.Name)
 		}
-		if elemSeen[el.Name] {
+		if byName[el.Name] != nil {
 			return fmt.Errorf("xsd: complexType %q: duplicate element %q", ct.Name, el.Name)
 		}
-		elemSeen[el.Name] = true
 		byName[el.Name] = el
 		if el.Builtin == "" && el.Ref == "" {
 			return fmt.Errorf("xsd: complexType %q: element %q has no type", ct.Name, el.Name)
