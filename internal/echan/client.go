@@ -1,6 +1,8 @@
 package echan
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -43,22 +45,31 @@ func dialBroker(addr string) (net.Conn, error) {
 	return conn, nil
 }
 
-// readResponseLine reads one "OK ..."/"ERR ..." line byte-by-byte, so no
-// bytes beyond the newline are consumed — the next byte on the stream may
-// already belong to a transport frame.
-func readResponseLine(conn net.Conn) (string, error) {
-	var sb strings.Builder
-	var one [1]byte
-	for sb.Len() <= maxCommandLine {
-		if _, err := conn.Read(one[:]); err != nil {
+// readLine reads one control line — a command on the broker side, an
+// "OK ..."/"ERR ..." response on the client side — through the
+// connection's one buffered reader, and returns it without its line end.
+// Bytes past the newline stay in rd: on a client they may already be the
+// first transport frames, which the frame reader built on rd goes on to
+// read.  A line is bounded by maxCommandLine, newline included, so a peer
+// that never sends one cannot make the reader allocate more.  A read error
+// (a Status deadline, say) consumes nothing, so a line still arriving is
+// read whole by the next call.
+func readLine(rd *bufio.Reader) (string, error) {
+	scanned := 0
+	for {
+		buf, _ := rd.Peek(min(rd.Buffered(), maxCommandLine))
+		if i := bytes.IndexByte(buf[scanned:], '\n'); i >= 0 {
+			line := string(buf[:scanned+i])
+			rd.Discard(scanned + i + 1)
+			return strings.TrimRight(line, "\r"), nil
+		}
+		if scanned = len(buf); scanned == maxCommandLine {
+			return "", fmt.Errorf("echan: control line over %d bytes", maxCommandLine)
+		}
+		if _, err := rd.Peek(scanned + 1); err != nil {
 			return "", err
 		}
-		if one[0] == '\n' {
-			return strings.TrimRight(sb.String(), "\r"), nil
-		}
-		sb.WriteByte(one[0])
 	}
-	return "", fmt.Errorf("echan: response line over %d bytes", maxCommandLine)
 }
 
 // checkResponse splits a response line into its payload, turning "ERR ..."
@@ -87,6 +98,11 @@ func checkResponse(line string) (string, error) {
 // and stats; use DialPublisher/DialSubscriber for data streams.
 type Client struct {
 	conn net.Conn
+	rd   *bufio.Reader // every response is read through it
+}
+
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, rd: bufio.NewReader(conn)}
 }
 
 // DialControl opens a control connection to the broker at addr (host:port,
@@ -96,7 +112,23 @@ func DialControl(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return newClient(conn), nil
+}
+
+// dialRole opens a connection to the broker and commits it to a data role
+// with one control line (PUB or SUB).  The client's reader may already hold
+// the first frames the broker sent after its "OK"; the caller receives
+// through that reader (transport.NewConnReader).
+func dialRole(addr, line string) (*Client, error) {
+	c, err := DialControl(addr)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.Do(line); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
 // Do sends one raw control line and returns the response payload.
@@ -104,7 +136,7 @@ func (c *Client) Do(line string) (string, error) {
 	if err := writeLine(c.conn, line); err != nil {
 		return "", err
 	}
-	resp, err := readResponseLine(c.conn)
+	resp, err := readLine(c.rd)
 	if err != nil {
 		return "", err
 	}
@@ -288,8 +320,11 @@ func (c *Client) Lineages(channel string, after uint64) (rev uint64, docs []disc
 	if size < 0 {
 		return 0, nil, fmt.Errorf("echan: lineages response missing bytes= (%q)", payload)
 	}
+	if size > maxLineagesBytes {
+		return 0, nil, fmt.Errorf("echan: %d-byte lineages document over the %d-byte cap", size, maxLineagesBytes)
+	}
 	data := make([]byte, size)
-	if _, err := io.ReadFull(c.conn, data); err != nil {
+	if _, err := io.ReadFull(c.rd, data); err != nil {
 		return 0, nil, fmt.Errorf("echan: reading lineages payload: %w", err)
 	}
 	if docs, err = discovery.ParseLineages(data); err != nil {
@@ -315,53 +350,30 @@ func (c *Client) Close() error { return c.conn.Close() }
 // determines the wire formats; the connection announces them in-band to the
 // broker, which re-announces to subscribers as needed.
 func DialPublisher(addr, channel string, ctx *pbio.Context, opts ...transport.ConnOption) (*transport.Conn, error) {
-	conn, err := dialBroker(addr)
+	p, err := DialPublisherConn(addr, channel, ctx, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if err := writeLine(conn, "PUB "+channel); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	resp, err := readResponseLine(conn)
-	if err == nil {
-		_, err = checkResponse(resp)
-	}
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return transport.NewConn(conn, ctx, opts...), nil
+	return p.Conn, nil
 }
 
-// PublisherConn is a publisher's connection that keeps the raw socket at
-// hand, so asynchronous broker rejections — a schema-registry compat
-// refusal arrives as an "ERR compat <json>" line after the offending
+// PublisherConn is a publisher's connection that keeps the raw socket and
+// its reader at hand, so asynchronous broker rejections — a schema-registry
+// compat refusal arrives as an "ERR compat <json>" line after the offending
 // format frame, not as a send failure — can be read back with Status.
 type PublisherConn struct {
 	*transport.Conn
 	nc net.Conn
+	rd *bufio.Reader
 }
 
 // DialPublisherConn is DialPublisher returning a PublisherConn.
 func DialPublisherConn(addr, channel string, ctx *pbio.Context, opts ...transport.ConnOption) (*PublisherConn, error) {
-	conn, err := dialBroker(addr)
+	c, err := dialRole(addr, "PUB "+channel)
 	if err != nil {
 		return nil, err
 	}
-	if err := writeLine(conn, "PUB "+channel); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	resp, err := readResponseLine(conn)
-	if err == nil {
-		_, err = checkResponse(resp)
-	}
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return &PublisherConn{Conn: transport.NewConn(conn, ctx, opts...), nc: conn}, nil
+	return &PublisherConn{Conn: transport.NewConnReader(c.conn, c.rd, ctx, opts...), nc: c.conn, rd: c.rd}, nil
 }
 
 // Status polls for a pending broker error line, waiting at most timeout.
@@ -375,7 +387,7 @@ func (p *PublisherConn) Status(timeout time.Duration) error {
 		return err
 	}
 	defer p.nc.SetReadDeadline(time.Time{})
-	line, err := readResponseLine(p.nc)
+	line, err := readLine(p.rd)
 	if err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			return nil
@@ -428,28 +440,15 @@ func DialSubscriberVersionAfter(addr, channel string, policy Policy, queue, n in
 }
 
 func dialSubscriber(addr, channel string, policy Policy, queue int, extra string, ctx *pbio.Context, opts ...transport.ConnOption) (*SubscriberConn, error) {
-	conn, err := dialBroker(addr)
-	if err != nil {
-		return nil, err
-	}
 	cmd := "SUB " + channel + " " + policy.String()
 	if queue > 0 {
 		cmd += " " + strconv.Itoa(queue)
 	}
-	cmd += extra
-	if err := writeLine(conn, cmd); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	resp, err := readResponseLine(conn)
-	if err == nil {
-		_, err = checkResponse(resp)
-	}
+	c, err := dialRole(addr, cmd+extra)
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	return &SubscriberConn{Conn: transport.NewConn(conn, ctx, opts...), nc: conn}, nil
+	return &SubscriberConn{Conn: transport.NewConnReader(c.conn, c.rd, ctx, opts...), nc: c.conn}, nil
 }
 
 // Unsubscribe asks the broker to drain and detach.  Keep calling Recv until

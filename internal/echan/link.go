@@ -1,7 +1,6 @@
 package echan
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"strconv"
@@ -210,7 +209,10 @@ func (l *Link) session() (delivered bool) {
 	if resumed {
 		cmd += " after=" + strconv.FormatUint(l.lastGen.Load(), 10)
 	}
-	payload, err := meshRequest(conn, cmd)
+	// The frames follow the OK line through the same reader, so any that
+	// arrived with it are already buffered.
+	c := newClient(conn)
+	payload, err := c.Do(cmd)
 	if err != nil {
 		if resumed && strings.Contains(err.Error(), "no longer retained") {
 			// The home cannot replay the missed span: re-attach fresh next
@@ -239,10 +241,9 @@ func (l *Link) session() (delivered bool) {
 		l.upG.Set(0)
 	}()
 
-	rd := bufio.NewReader(conn)
 	var buf []byte
 	for {
-		kind, payload, err := readFrameInto(rd, &buf)
+		kind, payload, err := readFrameInto(c.rd, &buf)
 		if err != nil {
 			return delivered
 		}

@@ -2,10 +2,8 @@ package echan
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -256,7 +254,7 @@ func (m *Mesh) helloRound() {
 // their authority, and merging a peer's (possibly stale) echo of our own
 // state back in could revert a local policy change.
 func (m *Mesh) pullLineages(addr string, after uint64) (uint64, error) {
-	rev, docs, err := m.fetchLineageDocs(addr, "LINEAGES after="+strconv.FormatUint(after, 10))
+	rev, docs, err := m.fetchLineages(addr, "", after)
 	if err != nil {
 		return 0, err
 	}
@@ -288,7 +286,7 @@ func (m *Mesh) SyncLineage(home, channel string) error {
 	if sr == nil {
 		return ErrNoSchemaRegistry
 	}
-	_, docs, err := m.fetchLineageDocs(home, "LINEAGES "+channel)
+	_, docs, err := m.fetchLineages(home, channel, 0)
 	if err != nil {
 		return err
 	}
@@ -300,76 +298,46 @@ func (m *Mesh) SyncLineage(home, channel string) error {
 	return err
 }
 
-// fetchLineageDocs runs one LINEAGES request against addr: the sized XML
-// payload after the OK line is read whole and parsed.
-func (m *Mesh) fetchLineageDocs(addr, line string) (uint64, []discovery.LineageDoc, error) {
+// control dials a peer with the mesh dialer for one short control exchange,
+// bounded to 5 s.
+func (m *Mesh) control(addr string) (*Client, error) {
 	conn, err := m.dial(addr)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	payload, err := meshRequest(conn, line)
+	return newClient(conn), nil
+}
+
+// fetchLineages runs one LINEAGES request against addr (see
+// Client.Lineages).
+func (m *Mesh) fetchLineages(addr, channel string, after uint64) (uint64, []discovery.LineageDoc, error) {
+	c, err := m.control(addr)
 	if err != nil {
 		return 0, nil, err
 	}
-	var rev, size uint64
-	for _, tok := range strings.Fields(payload) {
-		switch {
-		case strings.HasPrefix(tok, "rev="):
-			rev, err = strconv.ParseUint(tok[len("rev="):], 10, 64)
-		case strings.HasPrefix(tok, "bytes="):
-			size, err = strconv.ParseUint(tok[len("bytes="):], 10, 64)
-		}
-		if err != nil {
-			return 0, nil, fmt.Errorf("echan: bad LINEAGES response %q", payload)
-		}
-	}
-	if size > 1<<26 {
-		return 0, nil, fmt.Errorf("echan: %d-byte lineage document over cap", size)
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return 0, nil, err
-	}
-	docs, err := discovery.ParseLineages(buf)
-	if err != nil {
-		return 0, nil, err
-	}
-	return rev, docs, nil
+	defer c.Close()
+	return c.Lineages(channel, after)
 }
 
 // greet runs one HELLO + PEERS exchange with a peer.
 func (m *Mesh) greet(addr string) error {
-	conn, err := m.dial(addr)
+	c, err := m.control(addr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := meshRequest(conn, "HELLO "+m.self); err != nil {
+	defer c.Close()
+	if _, err := c.Hello(m.self); err != nil {
 		return err
 	}
-	resp, err := meshRequest(conn, "PEERS")
+	peers, err := c.Peers()
 	if err != nil {
 		return err
 	}
-	for _, a := range strings.Fields(resp) {
+	for _, a := range peers {
 		m.AddPeer(a)
 	}
 	return nil
-}
-
-// meshRequest sends one control line and returns the OK payload.
-func meshRequest(conn net.Conn, line string) (string, error) {
-	if err := writeLine(conn, line); err != nil {
-		return "", err
-	}
-	resp, err := readResponseLine(conn)
-	if err != nil {
-		return "", err
-	}
-	return checkResponse(resp)
 }
 
 // HandleHello records a peer that introduced itself (the server side of
@@ -422,13 +390,12 @@ func (m *Mesh) ResolveHome(name string) string {
 
 // queryHome asks one peer where a channel lives.
 func (m *Mesh) queryHome(peer, name string) (string, error) {
-	conn, err := m.dial(peer)
+	c, err := m.control(peer)
 	if err != nil {
 		return "", err
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	return meshRequest(conn, "HOME "+name)
+	defer c.Close()
+	return c.Home(name)
 }
 
 // SubscriberChannel returns the channel a local subscriber should attach

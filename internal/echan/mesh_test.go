@@ -1,7 +1,6 @@
 package echan
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -394,15 +393,12 @@ func TestMeshRemoteJoinerReplay(t *testing.T) {
 
 			// Join mid-stream through B with a raw connection, so the frame
 			// order on the wire is observable.
-			conn, err := net.Dial("tcp", addrB)
+			raw, err := DialControl(addrB)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer conn.Close()
-			if err := writeLine(conn, "SUB joiner "+policy.String()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := readResponseLine(conn); err != nil {
+			defer raw.Close()
+			if _, err := raw.Do("SUB joiner " + policy.String()); err != nil {
 				t.Fatal(err)
 			}
 			go func() {
@@ -418,7 +414,7 @@ func TestMeshRemoteJoinerReplay(t *testing.T) {
 			}()
 			sawFormat := false
 			for i := 0; i < 10; i++ {
-				kind, _, err := readRawFrame(conn)
+				kind, _, err := readRawFrame(raw.rd)
 				if err != nil {
 					t.Fatalf("raw frame %d: %v", i, err)
 				}

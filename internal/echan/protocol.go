@@ -63,8 +63,13 @@ import (
 // "OK rev=<registry-rev> bytes=<n>" followed by exactly n bytes of XML —
 // the only response in the protocol that carries a sized binary payload.
 //
-// maxCommandLine bounds a control line; longer input is a protocol error.
+// maxCommandLine bounds a control line, newline included; longer input is
+// a protocol error.
 const maxCommandLine = 4096
+
+// maxLineagesBytes bounds the n a client accepts in a LINEAGES response
+// before it allocates n bytes for the document.
+const maxLineagesBytes = 64 << 20
 
 // Verb is a control-protocol command verb.
 type Verb int

@@ -174,23 +174,11 @@ func errLine(err error) string {
 	return "ERR " + err.Error()
 }
 
-// readCommandLine reads one bounded control line.
-func readCommandLine(rd *bufio.Reader) (string, error) {
-	line, err := rd.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	if len(line) > maxCommandLine {
-		return "", fmt.Errorf("echan: command line over %d bytes", maxCommandLine)
-	}
-	return strings.TrimRight(line, "\r\n"), nil
-}
-
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	rd := bufio.NewReader(conn)
 	for {
-		line, err := readCommandLine(rd)
+		line, err := readLine(rd)
 		if err != nil {
 			return
 		}
@@ -487,7 +475,8 @@ func (s *Server) forwardPublisher(conn net.Conn, rd *bufio.Reader, home, name st
 		return
 	}
 	defer up.Close()
-	resp, err := meshRequest(up, "PUB "+name)
+	upc := newClient(up)
+	resp, err := upc.Do("PUB " + name)
 	if err != nil {
 		writeLine(conn, "ERR forwarding to "+home+": "+err.Error())
 		return
@@ -498,7 +487,7 @@ func (s *Server) forwardPublisher(conn net.Conn, rd *bufio.Reader, home, name st
 	// Upstream-to-client carries only terminal ERR lines; it exits when
 	// either side closes, and the deferred up.Close unblocks it when the
 	// publisher side finishes first.
-	go io.Copy(conn, up)
+	go io.Copy(conn, upc.rd)
 	io.Copy(up, rd)
 }
 
@@ -576,7 +565,7 @@ func (s *Server) serveSubscriber(conn net.Conn, rd *bufio.Reader, cmd Command) {
 	}
 	close(ready)
 	for {
-		line, err := readCommandLine(rd)
+		line, err := readLine(rd)
 		if err != nil {
 			// Client went away; drop queued events and detach.
 			sub.abort()

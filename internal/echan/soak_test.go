@@ -203,22 +203,12 @@ func TestJoinerReplayAfterPublisherReset(t *testing.T) {
 			defer srv.Close()
 
 			// Publisher 1: chaos-reset connection, dies mid-frame.
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := writeLine(nc, "PUB join_"+policy.String()); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := readResponseLine(nc)
-			if err == nil {
-				_, err = checkResponse(resp)
-			}
+			pc, err := dialRole(addr, "PUB join_"+policy.String())
 			if err != nil {
 				t.Fatal(err)
 			}
 			pctx, bind := eventBinding(t, platform.X86)
-			chaos := transport.NewChaos(nc, 7001, transport.WithReset(600))
+			chaos := transport.NewChaos(pc.conn, 7001, transport.WithReset(600))
 			pub := transport.NewConn(chaos, pctx)
 			var pubErr error
 			for i := 0; i < 200; i++ {
@@ -232,22 +222,12 @@ func TestJoinerReplayAfterPublisherReset(t *testing.T) {
 
 			// Subscriber joins after the reset, reading raw frames so the
 			// announcement-before-data contract is checked on the wire.
-			sc, err := net.Dial("tcp", addr)
+			sc, err := dialRole(addr, "SUB join_"+policy.String()+" "+policy.String())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sc.Close()
-			sc.SetDeadline(time.Now().Add(10 * time.Second))
-			if err := writeLine(sc, "SUB join_"+policy.String()+" "+policy.String()); err != nil {
-				t.Fatal(err)
-			}
-			resp, err = readResponseLine(sc)
-			if err == nil {
-				_, err = checkResponse(resp)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc.conn.SetDeadline(time.Now().Add(10 * time.Second))
 
 			// Publisher 2: clean connection, same format.
 			p2ctx, bind2 := eventBinding(t, platform.Sparc64)
@@ -272,7 +252,7 @@ func TestJoinerReplayAfterPublisherReset(t *testing.T) {
 			sawFormat := false
 			var pre, post []int32
 			for len(post) < m {
-				kind, payload, err := readRawFrame(sc)
+				kind, payload, err := readRawFrame(sc.rd)
 				if err != nil {
 					t.Fatalf("after %d+%d events: %v", len(pre), len(post), err)
 				}

@@ -8,6 +8,7 @@
 package fmtserver
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -22,6 +23,7 @@ import (
 
 	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/obs"
+	"github.com/open-metadata/xmit/internal/pbio"
 	"github.com/open-metadata/xmit/internal/registry"
 )
 
@@ -343,8 +345,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
+	rd := bufio.NewReader(conn)
 	for {
-		op, payload, err := readFrame(conn)
+		op, payload, err := readFrame(rd)
 		if err != nil {
 			return
 		}
@@ -462,14 +465,14 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// writeFrame frames payload in one pooled buffer and hands it to w in a
+// single Write: one syscall and one segment per frame.
 func writeFrame(w io.Writer, tag byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = tag
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := pbio.GetBuffer()
+	defer buf.Release()
+	buf.B = binary.BigEndian.AppendUint32(buf.B, uint32(len(payload)+1))
+	buf.B = append(append(buf.B, tag), payload...)
+	_, err := w.Write(buf.B)
 	return err
 }
 
@@ -497,6 +500,7 @@ type Client struct {
 
 	mu    sync.Mutex
 	conn  net.Conn
+	rd    *bufio.Reader // conn's reader, rebuilt with it on reconnect
 	cache map[meta.FormatID]*meta.Format
 }
 
@@ -549,17 +553,17 @@ func (c *Client) roundTrip(op byte, payload []byte) (byte, []byte, error) {
 			if err != nil {
 				return 0, nil, fmt.Errorf("fmtserver: connecting to %s: %w", c.addr, err)
 			}
-			c.conn = conn
+			c.conn, c.rd = conn, bufio.NewReader(conn)
 		}
 		if err := writeFrame(c.conn, op, payload); err == nil {
-			status, resp, err := readFrame(c.conn)
+			status, resp, err := readFrame(c.rd)
 			if err == nil {
 				return status, resp, nil
 			}
 		}
 		// Connection went bad; drop it and retry once.
 		c.conn.Close()
-		c.conn = nil
+		c.conn, c.rd = nil, nil
 	}
 	return 0, nil, fmt.Errorf("fmtserver: lost connection to %s", c.addr)
 }
@@ -714,7 +718,7 @@ func (c *Client) Close() error {
 	defer c.mu.Unlock()
 	if c.conn != nil {
 		err := c.conn.Close()
-		c.conn = nil
+		c.conn, c.rd = nil, nil
 		return err
 	}
 	return nil

@@ -11,6 +11,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -94,6 +95,11 @@ type Conn struct {
 	encPool       *pbio.EncodePool
 	encJobs       []*pbio.EncodeJob
 
+	// rd is the receive side's one buffered reader (bufio's default 4 KB),
+	// created at the first receive so a send-only connection pays nothing,
+	// or handed over by NewConnReader.  Small frames then cost one read(2)
+	// per buffer-full instead of two per frame.
+	rd      *bufio.Reader
 	recvBuf []byte
 
 	stats connStats
@@ -204,6 +210,16 @@ func NewConn(rwc io.ReadWriteCloser, ctx *pbio.Context, opts ...ConnOption) *Con
 	for _, o := range opts {
 		o(c)
 	}
+	return c
+}
+
+// NewConnReader is NewConn for a stream that was read through rd before
+// its frames began — a text handshake, typically.  The connection receives
+// through rd, so frame bytes that arrived with the handshake and sit in
+// rd's buffer are the start of the frame stream, not lost.
+func NewConnReader(rwc io.ReadWriteCloser, rd *bufio.Reader, ctx *pbio.Context, opts ...ConnOption) *Conn {
+	c := NewConn(rwc, ctx, opts...)
+	c.rd = rd
 	return c
 }
 
@@ -450,12 +466,25 @@ func (c *Conn) nextData() ([]byte, error) {
 	}
 }
 
+// readFrame reads the next frame through the connection's buffered reader.
+// The header is parsed in place in the buffer and the payload is copied
+// out of it into recvBuf, except that bufio reads any stretch of at least
+// a buffer's length straight into recvBuf.  A stream that ends between
+// frames returns io.EOF, one that ends inside a frame io.ErrUnexpectedEOF.
 func (c *Conn) readFrame() (byte, []byte, error) {
-	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(c.rwc, hdr[:]); err != nil {
+	if c.rd == nil {
+		c.rd = bufio.NewReader(c.rwc)
+	}
+	hdr, err := c.rd.Peek(FrameHeaderSize)
+	if err != nil {
+		if len(hdr) > 0 {
+			err = midFrame(err)
+		}
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
+	kind := hdr[4]
+	c.rd.Discard(FrameHeaderSize) // cannot fail: Peek buffered these bytes
 	if n < 1 {
 		return 0, nil, fmt.Errorf("transport: frame of %d bytes out of range", n)
 	}
@@ -463,8 +492,8 @@ func (c *Conn) readFrame() (byte, []byte, error) {
 	if int64(n) > int64(c.maxFrame) {
 		// Drain the payload so the stream stays framed; the caller can
 		// keep receiving on the same connection.
-		if _, err := io.CopyN(io.Discard, c.rwc, int64(need)); err != nil {
-			return 0, nil, err
+		if _, err := c.rd.Discard(need); err != nil {
+			return 0, nil, midFrame(err)
 		}
 		c.stats.bytesReceived.Add(int64(need) + FrameHeaderSize)
 		return 0, nil, fmt.Errorf("transport: %d-byte frame over the %d-byte cap: %w",
@@ -474,20 +503,28 @@ func (c *Conn) readFrame() (byte, []byte, error) {
 		c.recvBuf = make([]byte, need)
 	}
 	buf := c.recvBuf[:need]
-	if _, err := io.ReadFull(c.rwc, buf); err != nil {
-		return 0, nil, err
+	if _, err := io.ReadFull(c.rd, buf); err != nil {
+		return 0, nil, midFrame(err)
 	}
-	return hdr[4], buf, nil
+	return kind, buf, nil
 }
 
-func writeFrame(w io.Writer, kind byte, payload []byte) error {
-	var hdr [FrameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = kind
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// midFrame reports the end of the stream inside a frame as
+// io.ErrUnexpectedEOF; io.EOF means the stream ended between frames.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	_, err := w.Write(payload)
+	return err
+}
+
+// writeFrame frames payload in one pooled buffer and hands it to w in a
+// single Write: one syscall and one segment per frame.
+func writeFrame(w io.Writer, kind byte, payload []byte) error {
+	buf := pbio.GetBuffer()
+	defer buf.Release()
+	buf.B = AppendFrame(buf.B, kind, payload)
+	_, err := w.Write(buf.B)
 	return err
 }
 
