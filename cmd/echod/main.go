@@ -55,7 +55,7 @@
 //
 // Usage:
 //
-//	echod -addr 127.0.0.1:8801 -metrics 127.0.0.1:8802 [-fmtserver 127.0.0.1:8701] [-queue 64] [-shards N]
+//	echod -addr 127.0.0.1:8801 -metrics 127.0.0.1:8802 [-fmtserver 127.0.0.1:8701] [-queue 64]
 //	      [-unix /run/echod.sock] [-policy backward] [-store /var/lib/echod]
 //	      [-peer host2:8801,http://host3:8803] [-mesh-listen 127.0.0.1:8803] [-advertise host1:8801] [-retain N]
 package main
@@ -85,7 +85,6 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve /metrics on this HTTP address (empty: disabled)")
 	fmtsrvAddr := flag.String("fmtserver", "", "format server address for out-of-band metadata (empty: in-band only)")
 	queue := flag.Int("queue", 64, "default per-subscriber queue length")
-	shards := flag.Int("shards", 0, "default fan-out shards per channel (0: GOMAXPROCS; 1: single-worker fan-out)")
 	peers := flag.String("peer", "", "comma-separated peer brokers: host:port, or http(s) URL of a peer's mesh document")
 	meshListen := flag.String("mesh-listen", "", "serve this broker's mesh document on this HTTP address (enables federation)")
 	advertise := flag.String("advertise", "", "mesh address peers dial this broker on (default: the bound -addr)")
@@ -109,9 +108,6 @@ func main() {
 	opts := []echan.BrokerOption{
 		echan.WithRegistry(metrics),
 		echan.WithDefaultQueue(*queue),
-	}
-	if *shards > 0 {
-		opts = append(opts, echan.WithDefaultShards(*shards))
 	}
 	if *retain > 0 {
 		opts = append(opts, echan.WithDefaultRetain(*retain))

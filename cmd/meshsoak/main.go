@@ -158,9 +158,6 @@ func main() {
 		if err := pub.SendRecord(probe); err != nil {
 			log.Fatalf("meshsoak: probe: %v", err)
 		}
-		if err := pub.Flush(); err != nil {
-			log.Fatalf("meshsoak: probe flush: %v", err)
-		}
 		if err := waitLineageHead(*home, *channel, 1, 10*time.Second); err != nil {
 			log.Fatalf("meshsoak: %v", err)
 		}
@@ -199,9 +196,6 @@ func main() {
 				log.Fatalf("meshsoak: publish %d: %v", i, err)
 			}
 		}
-	}
-	if err := pub.Flush(); err != nil {
-		log.Fatalf("meshsoak: flush: %v", err)
 	}
 	if dynamic {
 		// A policy rejection arrives asynchronously, after the offending
@@ -438,9 +432,6 @@ func rejectBrokenHead(home, channel string) string {
 	if err := pub.SendRecord(rec); err != nil {
 		log.Fatalf("meshsoak: publishing broken head: %v", err)
 	}
-	if err := pub.Flush(); err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
 	err = pub.Status(5 * time.Second)
 	var ce *registry.CompatError
 	if !errors.As(err, &ce) {
@@ -484,9 +475,6 @@ func runRestartSeed(home, channel, stateFile string, evolve int) {
 		if err := pub.SendRecord(rec); err != nil {
 			log.Fatalf("meshsoak: announcing v%d: %v", len(chain), err)
 		}
-	}
-	if err := pub.Flush(); err != nil {
-		log.Fatalf("meshsoak: %v", err)
 	}
 	if err := pub.Status(500 * time.Millisecond); err != nil {
 		log.Fatalf("meshsoak: seeding lineage: %v", err)
@@ -599,9 +587,6 @@ func runRestartVerify(home, channel, stateFile string, n, queue int) {
 		if err := pub.SendRecord(rec); err != nil {
 			log.Fatalf("meshsoak: publish %d: %v", i, err)
 		}
-	}
-	if err := pub.Flush(); err != nil {
-		log.Fatalf("meshsoak: %v", err)
 	}
 	if err := pub.Status(200 * time.Millisecond); err != nil {
 		log.Fatalf("meshsoak: publisher rejected after restart: %v", err)

@@ -5,7 +5,7 @@
 //
 //	xmitbench                      # all figures
 //	xmitbench -fig 8               # one figure (1, 3, 6, 7, 8, or "expansion")
-//	xmitbench -fig 8,send,fanout   # several figures
+//	xmitbench -fig 8,fanout,mesh   # several figures
 //	xmitbench -quick               # fast, low-precision pass
 //	xmitbench -json out.json       # also write machine-readable records
 //	xmitbench -baseline BENCH.json # fail on >tolerance throughput regression
@@ -28,12 +28,12 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", `comma-separated figures to regenerate: 1, 3, 6, 7, 8, "expansion", "amortization", "ablations", "allocs", "fanout", "send", "scale", "mesh", "writev", "evolve", "evolve-mesh", "coldstart", or "all"`)
+	fig := flag.String("fig", "all", `comma-separated figures to regenerate: 1, 3, 6, 7, 8, "expansion", "amortization", "ablations", "allocs", "fanout", "mesh", "writev", "evolve", "evolve-mesh", "coldstart", or "all"`)
 	quick := flag.Bool("quick", false, "use fast, low-precision measurement settings")
 	count := flag.Int("count", 1, "repetitions per figure; JSON records carry the mean plus min/max spread")
 	metricsAddr := flag.String("metrics", "", "serve the process obs registry at /metrics on this HTTP address while running (empty: disabled)")
 	stats := flag.Bool("stats", false, "dump the process obs registry as JSON to stderr after the run")
-	jsonOut := flag.String("json", "", "write machine-readable benchmark records to this file (figures 8, fanout, send, and scale)")
+	jsonOut := flag.String("json", "", "write machine-readable benchmark records to this file (figures 8, fanout, mesh, writev, evolve, evolve-mesh, and coldstart)")
 	baseline := flag.String("baseline", "", "compare this run's throughput records against a baseline JSON file; exit nonzero on regression")
 	history := flag.String("history", "", "directory of prior runs' record files (*.json); the gate compares against the best of baseline and history per metric (trend-aware)")
 	tolerance := flag.Float64("tolerance", 0.35, "allowed fractional throughput drop vs the baseline before failing")
@@ -248,26 +248,6 @@ func run(figs string, opts bench.Options, out io.Writer) ([]bench.JSONRecord, er
 		bench.PrintFanout(out, rows)
 		fmt.Fprintln(out)
 		records = append(records, bench.FanoutRecords(rows)...)
-	}
-	if want("send") {
-		ran = true
-		rows, err := bench.Send(opts)
-		if err != nil {
-			return nil, err
-		}
-		bench.PrintSend(out, rows)
-		fmt.Fprintln(out)
-		records = append(records, bench.SendRecords(rows)...)
-	}
-	if want("scale") {
-		ran = true
-		rows, err := bench.Scale(opts)
-		if err != nil {
-			return nil, err
-		}
-		bench.PrintScale(out, rows)
-		fmt.Fprintln(out)
-		records = append(records, bench.ScaleRecords(rows)...)
 	}
 	if want("mesh") {
 		ran = true

@@ -15,7 +15,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -114,10 +113,8 @@ func main() {
 	url := "http://" + ln.Addr().String() + "/hydrology.xsd"
 	fmt.Println("hydrology formats served at", url)
 
-	// The broker: named channels over TCP, like running cmd/echod.  Fan-out
-	// is sharded across the cores so many sinks don't serialise behind one
-	// offer loop (echod's -shards knob; GOMAXPROCS is also the default).
-	srv := echan.NewServer(echan.NewBroker(echan.WithDefaultShards(runtime.GOMAXPROCS(0))))
+	// The broker: named channels over TCP, like running cmd/echod.
+	srv := echan.NewServer(echan.NewBroker())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

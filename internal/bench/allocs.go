@@ -88,21 +88,9 @@ func allocWorkload(o Options, rows *[]AllocRow, name string, ctx *pbio.Context, 
 	if err := conn.Send(b, sample); err != nil { // announce before measuring
 		return err
 	}
-	if err := measureAlloc(o, rows, name, "Send", func() error {
+	return measureAlloc(o, rows, name, "Send", func() error {
 		return conn.Send(b, sample)
-	}); err != nil {
-		return err
-	}
-	batched := transport.NewConn(discardRWC{}, ctx, transport.WithBatching(8, 0))
-	if err := batched.Send(b, sample); err != nil {
-		return err
-	}
-	if err := measureAlloc(o, rows, name, "Send(batch=8)", func() error {
-		return batched.Send(b, sample)
-	}); err != nil {
-		return err
-	}
-	return batched.Flush()
+	})
 }
 
 // Allocs measures steady-state allocations per message across the mixed

@@ -84,39 +84,6 @@ func FanoutRecords(rows []FanoutRow) []JSONRecord {
 	return out
 }
 
-// SendRecords flattens the transport-send figure.
-func SendRecords(rows []SendRow) []JSONRecord {
-	var out []JSONRecord
-	for _, r := range rows {
-		cfg := fmt.Sprintf("%dB", r.PayloadBytes)
-		out = append(out,
-			record("send", cfg, "serial_msgs", r.SerialMsgsPerSec, "msg/s"),
-			record("send", cfg, "parallel_msgs", r.ParallelMsgsPerSec, "msg/s"),
-		)
-	}
-	return out
-}
-
-// ScaleRecords flattens the broker-scaling figure.  GoMaxProcs records the
-// row's setting, not the ambient one, since the experiment varies it.
-func ScaleRecords(rows []ScaleRow) []JSONRecord {
-	var out []JSONRecord
-	for _, r := range rows {
-		cfg := fmt.Sprintf("p%d_%dsubs", r.Procs, r.Subscribers)
-		recs := []JSONRecord{
-			record("scale", cfg, "sharded_events", r.ShardedEventsPerSec, "events/s"),
-			record("scale", cfg, "sharded_cpu_per_event", r.ShardedCPUPerEventNs, "ns/event"),
-			record("scale", cfg, "single_events", r.SingleEventsPerSec, "events/s"),
-			record("scale", cfg, "single_cpu_per_event", r.SingleCPUPerEventNs, "ns/event"),
-		}
-		for i := range recs {
-			recs[i].GoMaxProcs = r.Procs
-		}
-		out = append(out, recs...)
-	}
-	return out
-}
-
 // MeshRecords flattens the broker-federation figure.
 func MeshRecords(rows []MeshRow) []JSONRecord {
 	var out []JSONRecord
@@ -201,7 +168,7 @@ func MergeRecords(runs [][]JSONRecord) []JSONRecord {
 
 // RecordFigures names every figure that contributes JSON records — the
 // expansion of "all" for RequireFigures.
-var RecordFigures = []string{"8", "fanout", "send", "scale", "mesh", "writev", "evolve", "evolve-mesh", "coldstart"}
+var RecordFigures = []string{"8", "fanout", "mesh", "writev", "evolve", "evolve-mesh", "coldstart"}
 
 // RequireFigures closes the vacuous-pass hole in the regression gate:
 // CompareJSON deliberately ignores baseline entries the fresh run didn't

@@ -2,13 +2,14 @@ package bench
 
 import (
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func rateRec(metric string, value float64, reps int, min, max float64) JSONRecord {
 	return JSONRecord{
-		Figure: "scale", Config: "p4_8subs", Metric: metric,
+		Figure: "fanout", Config: "16subs", Metric: metric,
 		Value: value, Unit: "events/s", Reps: reps, Min: min, Max: max,
 	}
 }
@@ -103,11 +104,11 @@ func TestCompareJSONSpreadTolerance(t *testing.T) {
 func TestBestBaseline(t *testing.T) {
 	committed := []JSONRecord{
 		rateRec("slow_day", 800, 3, 780, 820),
-		{Figure: "scale", Config: "p4_8subs", Metric: "ratio_m", Value: 5, Unit: "ratio"},
+		{Figure: "fanout", Config: "16subs", Metric: "ratio_m", Value: 5, Unit: "ratio"},
 	}
 	older := []JSONRecord{
 		rateRec("slow_day", 1000, 5, 950, 1050),
-		{Figure: "scale", Config: "p4_8subs", Metric: "ratio_m", Value: 9, Unit: "ratio"},
+		{Figure: "fanout", Config: "16subs", Metric: "ratio_m", Value: 9, Unit: "ratio"},
 	}
 	newer := []JSONRecord{
 		rateRec("slow_day", 900, 2, 890, 910),
@@ -136,5 +137,65 @@ func TestBestBaseline(t *testing.T) {
 	// Committed-first order is stable.
 	if got[0].Metric != "slow_day" || got[1].Metric != "ratio_m" {
 		t.Errorf("order not preserved: %v, %v", got[0].Metric, got[1].Metric)
+	}
+}
+
+func TestJSONRoundTripAndCompare(t *testing.T) {
+	recs := append(
+		MeshRecords([]MeshRow{{Brokers: 2, Subscribers: 4, EventsPerSec: 1000, CPUPerEventNs: 12}}),
+		FanoutRecords([]FanoutRow{{Subscribers: 16, BinEventsPerSec: 5000, BinCPUPerEventNs: 10,
+			XMLEventsPerSec: 4000, XMLCPUPerEventNs: 12}})...,
+	)
+	for _, r := range recs {
+		if r.GoVersion == "" {
+			t.Errorf("record %s missing go_version", r.key())
+		}
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := WriteJSONFile(path, recs); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSONFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != len(recs) || back[0] != recs[0] {
+		t.Fatalf("round trip mismatch: %d records, first %+v vs %+v", len(back), back[0], recs[0])
+	}
+
+	// Identical runs never regress.
+	if regs := CompareJSON(recs, back, 0.35); len(regs) != 0 {
+		t.Errorf("self-comparison regressed: %v", regs)
+	}
+
+	// A 50% throughput drop on one rate metric is a regression; the same
+	// drop on a time metric, or a baseline row absent from the fresh run,
+	// is not.
+	fresh := make([]JSONRecord, len(recs))
+	copy(fresh, recs)
+	for i := range fresh {
+		if fresh[i].Figure == "mesh" && fresh[i].Metric == "events" {
+			fresh[i].Value /= 2
+		}
+		if fresh[i].Metric == "pbio_cpu_per_event" {
+			fresh[i].Value *= 10 // worse, but not a rate — ignored
+		}
+	}
+	regs := CompareJSON(recs, fresh, 0.35)
+	if len(regs) != 1 || !strings.HasPrefix(regs[0], "mesh/") {
+		t.Errorf("regressions = %v, want exactly the mesh events drop", regs)
+	}
+	if regs := CompareJSON(recs, fresh[:0], 0.35); len(regs) != 0 {
+		t.Errorf("empty fresh run should gate nothing, got %v", regs)
+	}
+
+	// Within tolerance passes.
+	within := make([]JSONRecord, len(recs))
+	copy(within, recs)
+	for i := range within {
+		within[i].Value *= 0.70
+	}
+	if regs := CompareJSON(recs, within, 0.35); len(regs) != 0 {
+		t.Errorf("30%% drop inside 35%% tolerance flagged: %v", regs)
 	}
 }

@@ -18,7 +18,7 @@ func BenchmarkFanout(b *testing.B) {
 }
 
 // BenchmarkFanoutDirect is BenchmarkFanout with in-process sinks, which the
-// shard workers call directly: the same fan-out minus the per-subscriber
+// fan-out worker calls directly: the same fan-out minus the per-subscriber
 // queue and wake-up.
 func BenchmarkFanoutDirect(b *testing.B) {
 	benchFanout(b, func(ch *Channel) (*Subscription, error) { return ch.SubscribeSink(discardSink{}, Block) })

@@ -51,14 +51,14 @@ func (t *formatTable) append(a announcement) int {
 
 // event is one published message: a pooled buffer holding a complete
 // transport data frame, reference-counted by the number of subscriber
-// queues, shard rings, and retention slots it sits in (plus the publisher
+// queues, the fan-out ring, and retention slots it sits in (plus the publisher
 // while fanning out).  fmtIdx snapshots the format table length at publish
 // time, so each subscriber's writer can emit exactly the announcements this
 // event depends on before its data frame — announcements themselves are
 // never queued, which keeps them safe from the drop policies.  f is the
 // event's own format (nil for opaque payloads), carried so derived-channel
 // sinks can decode for filtering off the publisher's goroutine.  gen is the
-// channel's publish sequence number; shard workers use it to skip
+// channel's publish sequence number; the fan-out worker uses it to skip
 // subscribers that attached after the event was published, and mesh links
 // use it to deduplicate replays after a reconnect.  views memoises the
 // event's frame under each pinned version a subscriber has asked for (see
@@ -106,7 +106,6 @@ type channelMetrics struct {
 	blockWaits    *obs.Counter
 	subscribers   *obs.Gauge
 	depth         *obs.Gauge
-	shards        *obs.Gauge
 	shardDepth    *obs.Gauge
 	sinkWrites    *obs.Counter
 	viewProjected *obs.Counter
@@ -122,7 +121,6 @@ func (m *channelMetrics) init(reg *obs.Registry, name string) {
 	m.blockWaits = reg.Counter(p + "block_waits_total")
 	m.subscribers = reg.Gauge(p + "subscribers")
 	m.depth = reg.Gauge(p + "depth")
-	m.shards = reg.Gauge(p + "shards")
 	m.shardDepth = reg.Gauge(p + "shard_depth")
 	// Sink write calls (format + data, single or vectored).  Against
 	// delivered_total this is the syscalls-per-event figure the vectored
@@ -136,16 +134,14 @@ func (m *channelMetrics) init(reg *obs.Registry, name string) {
 	m.fanout = reg.Histogram(p + "fanout_latency_ns")
 }
 
-// Channel is a named event stream.  Publishers encode once; the subscriber
-// set is partitioned across shards, each drained by its own worker
-// goroutine, and every subscriber receives the same pooled frame through its
-// own bounded queue.  All methods are safe for concurrent use.
+// Channel is a named event stream.  Publishers encode once; one worker
+// goroutine fans each event out to the whole subscriber set, and every
+// subscriber receives the same pooled frame.  All methods are safe for
+// concurrent use.
 type Channel struct {
 	broker  *Broker
 	name    string
 	qlen    int
-	nshards int
-	ringLen int
 	retainN int
 	batchN  int
 	oob     bool
@@ -156,7 +152,7 @@ type Channel struct {
 
 	mu        sync.Mutex // serialises announce, subscriber/children changes
 	announced atomic.Pointer[map[*meta.Format]int]
-	shards    []*shard
+	shard     *shard
 	children  atomic.Pointer[[]*Channel]
 	closed    atomic.Bool
 	views     map[meta.FormatID]*view // pinned versions in use, by format ID; under mu
@@ -169,26 +165,19 @@ type Channel struct {
 	adopted atomic.Bool
 
 	// feed is the channel's attachment to its parent when derived: the
-	// delivery sink registered on one of the parent's shards.  Set under
-	// the broker mutex at Derive, cleared at Close.
-	feed      *derivedSink
-	feedShard *shard
+	// delivery sink registered on the parent's fan-out.  Set at Derive.
+	feed *derivedSink
 
 	// Retention: the retainN most recent events, each holding one
 	// reference, so a resuming subscriber (SubAfter — chiefly a mesh link
 	// reconnecting) can be replayed the events it missed.  retMu also
 	// serialises publishes when retention is on, making gen assignment,
-	// retention append, and shard enqueue one atomic step — the log-append
+	// retention append, and fan-out enqueue one atomic step — the log-append
 	// ordering resume correctness depends on.
 	retMu    sync.Mutex
 	ret      []*event
 	retHead  int
 	retCount int
-
-	// PublishBatch scratch: one batch in flight per channel at a time, so
-	// the job slice is reused across batches without allocation.
-	batchMu   sync.Mutex
-	batchJobs []*pbio.EncodeJob
 
 	metrics channelMetrics
 }
@@ -197,35 +186,13 @@ type Channel struct {
 type ChannelOption func(*Channel)
 
 // WithQueue sets the per-subscriber queue length for subscriptions to this
-// channel (default: the broker's default).
+// channel (default: the broker's default), and the depth of the channel's
+// fan-out ring: the publisher→worker hand-off buffer, whose filling is how
+// Block-policy backpressure reaches the publisher.
 func WithQueue(n int) ChannelOption {
 	return func(ch *Channel) {
 		if n > 0 {
 			ch.qlen = n
-		}
-	}
-}
-
-// WithShards sets the number of fan-out shards for this channel (default:
-// the broker's default, which scales with GOMAXPROCS).  One shard
-// reproduces the single-worker fan-out; more shards split the subscriber
-// set so the per-subscriber deliveries run on multiple cores.
-func WithShards(n int) ChannelOption {
-	return func(ch *Channel) {
-		if n > 0 {
-			ch.nshards = n
-		}
-	}
-}
-
-// WithShardRing sets the depth of each shard's event ring (default: the
-// channel's queue length).  The ring is the publisher→shard handoff buffer;
-// when it fills, publishes block until the shard's worker catches up, which
-// is how Block-policy backpressure propagates to the publisher.
-func WithShardRing(n int) ChannelOption {
-	return func(ch *Channel) {
-		if n > 0 {
-			ch.ringLen = n
 		}
 	}
 }
@@ -271,19 +238,12 @@ func newChannel(b *Broker, name string, opts ...ChannelOption) *Channel {
 		broker:  b,
 		name:    name,
 		qlen:    b.defaultQueue,
-		nshards: b.defaultShards,
 		retainN: b.defaultRetain,
 		formats: newFormatTable(),
 		gen:     new(atomic.Uint64),
 	}
 	for _, o := range opts {
 		o(ch)
-	}
-	if ch.nshards <= 0 {
-		ch.nshards = 1
-	}
-	if ch.ringLen <= 0 {
-		ch.ringLen = ch.qlen
 	}
 	if ch.batchN <= 0 {
 		ch.batchN = ch.qlen
@@ -295,18 +255,9 @@ func newChannel(b *Broker, name string, opts ...ChannelOption) *Channel {
 	emptyKids := []*Channel{}
 	ch.children.Store(&emptyKids)
 	ch.metrics.init(b.reg, name)
-	ch.metrics.shards.Set(int64(ch.nshards))
-	ch.shards = make([]*shard, ch.nshards)
-	for i := range ch.shards {
-		events := b.reg.Counter(fmt.Sprintf(
-			"echan_%s_shard%d_events_total", metricName(name), i))
-		ch.shards[i] = newShard(ch, i, ch.ringLen, events)
-	}
+	ch.shard = newShard(ch, ch.qlen)
 	return ch
 }
-
-// Shards returns the channel's shard count.
-func (ch *Channel) Shards() int { return ch.nshards }
 
 // Name returns the channel name.
 func (ch *Channel) Name() string { return ch.name }
@@ -327,15 +278,24 @@ func (ch *Channel) lineageName() string {
 	return ch.name
 }
 
-func (ch *Channel) addChild(c *Channel) {
-	// Callers hold b.mu; children mutate under ch.mu.
+// attachChild registers c as a channel derived from ch and attaches its feed
+// to ch's fan-out, or fails with ErrChannelClosed once ch is closed: a
+// closed channel's worker has exited, so a child attached to it would never
+// deliver anything.  Callers hold b.mu; children mutate under ch.mu.
+func (ch *Channel) attachChild(c *Channel, feed *derivedSink) error {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
+	if ch.closed.Load() {
+		return ErrChannelClosed
+	}
 	old := *ch.children.Load()
 	next := make([]*Channel, len(old)+1)
 	copy(next, old)
 	next[len(old)] = c
 	ch.children.Store(&next)
+	c.feed = feed
+	ch.shard.addSink(feed)
+	return nil
 }
 
 // ensureAnnounced makes f part of the channel's format table, registering it
@@ -404,61 +364,6 @@ func (ch *Channel) Publish(b *pbio.Binding, v any) error {
 	}
 	buf.B = dst
 	return ch.publishFrame(b.Format(), buf)
-}
-
-// PublishBatch publishes a batch of independent events sharing one binding,
-// in argument order.  With the broker's WithParallelEncode configured, the
-// events are marshaled concurrently by the pool's workers — each into its
-// own pooled frame — and only the fan-out is serialised, so the encode cost
-// of a burst occupies every free core instead of the publisher's alone.
-// Without a pool this is exactly a Publish loop.  The first error is
-// returned; events already published stay published, later ones in the
-// batch are discarded.
-func (ch *Channel) PublishBatch(b *pbio.Binding, vs ...any) error {
-	if ch.parent != nil {
-		return ErrDerivedChannel
-	}
-	if ch.closed.Load() {
-		return ErrChannelClosed
-	}
-	pool := ch.broker.encodePool()
-	if pool == nil || len(vs) == 1 {
-		for _, v := range vs {
-			if err := ch.Publish(b, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	ch.batchMu.Lock()
-	defer ch.batchMu.Unlock()
-	jobs := ch.batchJobs[:0]
-	for _, v := range vs {
-		jobs = append(jobs, pool.Encode(b, v, transport.FrameHeaderSize))
-	}
-	ch.batchJobs = jobs[:0] // keep the backing array for the next batch
-
-	f := b.Format()
-	var firstErr error
-	for _, j := range jobs {
-		buf, err := j.Wait()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if firstErr != nil {
-			buf.Release()
-			continue
-		}
-		// publishFrame takes ownership of buf (and releases it on error).
-		if err := ch.publishFrame(f, buf); err != nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // PublishMessage fans out a complete pre-encoded PBIO message (header and
@@ -557,7 +462,7 @@ func (ch *Channel) publishFrameAt(f *meta.Format, buf *pbio.Buffer, at uint64) e
 
 	if ch.retainN > 0 {
 		// With retention on, generation assignment, the retention append,
-		// and the shard handoff form one critical section: the retained
+		// and the fan-out hand-off form one critical section: the retained
 		// ring then holds a gen-contiguous suffix of the stream, which is
 		// what lets SubAfter decide "replayable or gap" by arithmetic.  (A
 		// proxy channel's externally-stamped gens can leave gaps after a
@@ -566,11 +471,11 @@ func (ch *Channel) publishFrameAt(f *meta.Format, buf *pbio.Buffer, at uint64) e
 		ch.retMu.Lock()
 		ch.setGen(ev, at)
 		ch.retain(ev)
-		ch.enqueueShards(ev)
+		ch.enqueue(ev)
 		ch.retMu.Unlock()
 	} else {
 		ch.setGen(ev, at)
-		ch.enqueueShards(ev)
+		ch.enqueue(ev)
 	}
 	ch.metrics.published.Inc()
 
@@ -606,15 +511,12 @@ func (ch *Channel) dropRetained() {
 	ch.retMu.Unlock()
 }
 
-// enqueueShards hands the event to every shard that has sinks attached; the
-// shard takes its own reference on acceptance.  Shards with no sinks cost
-// nothing — an atomic pointer load each.
-func (ch *Channel) enqueueShards(ev *event) {
-	for _, sh := range ch.shards {
-		if len(*sh.sinks.Load()) == 0 {
-			continue
-		}
-		sh.enqueue(ev)
+// enqueue hands the event to the fan-out worker, which takes its own
+// reference on acceptance.  A channel with no sinks attached skips the ring:
+// the event costs one atomic pointer load.
+func (ch *Channel) enqueue(ev *event) {
+	if len(*ch.shard.sinks.Load()) > 0 {
+		ch.shard.enqueue(ev)
 	}
 }
 
@@ -647,7 +549,7 @@ func SubAfter(gen uint64) SubOption {
 // queuedOnly marks a subscription whose sink the broker itself wrapped
 // around an io.Writer (Subscribe, SubscribeVersion, the daemon's socket
 // subscribers): a write there can park in the kernel for as long as the
-// peer likes, so it never runs on the shard worker — every event goes
+// peer likes, so it never runs on the fan-out worker — every event goes
 // through the queue to the subscription's own writer goroutine.
 func queuedOnly(s *Subscription) { s.queued = true }
 
@@ -661,17 +563,14 @@ func (ch *Channel) Subscribe(w io.Writer, policy Policy, opts ...SubOption) (*Su
 }
 
 // SubscribeSink attaches a Sink to the channel under the given backpressure
-// policy.  The subscription is placed on the least-loaded shard
-// (rebalancing the partition as subscribers come and go) and stays there
-// for its lifetime, which is what preserves per-subscriber FIFO ordering.
-// The sink receives the format announcements it hasn't seen (for in-band
-// channels), each followed by data frames — so a subscriber joining
+// policy.  The sink receives the format announcements it hasn't seen (for
+// in-band channels), each followed by data frames — so a subscriber joining
 // mid-stream always receives the formats its first event needs before that
 // event's data frame.  Who calls the sink follows from the policy (see
 // Subscription.offerRun): a Block subscriber that is caught up is called
-// straight from its shard's worker, one hand-off after the publish; one
-// that has fallen behind, and every Drop subscriber, is drained from its
-// queue by a dedicated writer goroutine.
+// straight from the channel's fan-out worker, one hand-off after the
+// publish; one that has fallen behind, and every Drop subscriber, is
+// drained from its queue by a dedicated writer goroutine.
 func (ch *Channel) SubscribeSink(snk Sink, policy Policy, opts ...SubOption) (*Subscription, error) {
 	if ch.closed.Load() {
 		return nil, ErrChannelClosed
@@ -702,21 +601,14 @@ func (ch *Channel) SubscribeSink(snk Sink, policy Policy, opts ...SubOption) (*S
 		ch.mu.Unlock()
 		return nil, ErrChannelClosed
 	}
-	target := ch.shards[0]
-	for _, sh := range ch.shards[1:] {
-		if len(*sh.sinks.Load()) < len(*target.sinks.Load()) {
-			target = sh
-		}
-	}
-	s.shard = target
 	if s.resume {
-		if err := ch.attachResumed(s, target); err != nil {
+		if err := ch.attachResumed(s); err != nil {
 			ch.mu.Unlock()
 			return nil, err
 		}
 	} else {
 		s.afterGen = ch.gen.Load()
-		target.addSink(s)
+		ch.shard.addSink(s)
 		go s.run()
 	}
 	ch.mu.Unlock()
@@ -732,10 +624,10 @@ func (ch *Channel) SubscribeSink(snk Sink, policy Policy, opts ...SubOption) (*S
 // replay offers can never block — the writer goroutine draining them may
 // itself be stalled behind a slow or gated sink, and attachResumed holds
 // locks a blocked offer would deadlock against.  The replay is always
-// queued, never delivered here: the shard worker finds the queue non-empty
+// queued, never delivered here: the fan-out worker finds the queue non-empty
 // and queues the live events behind it, so replayed events precede live
 // ones whichever goroutine ends up running the sink.  Callers hold ch.mu.
-func (ch *Channel) attachResumed(s *Subscription, target *shard) error {
+func (ch *Channel) attachResumed(s *Subscription) error {
 	ch.retMu.Lock()
 	head := ch.gen.Load()
 	if s.resumeAfter > head {
@@ -762,52 +654,45 @@ func (ch *Channel) attachResumed(s *Subscription, target *shard) error {
 			s.offer(ev)
 		}
 	}
-	target.addSink(s)
+	ch.shard.addSink(s)
 	ch.retMu.Unlock()
 	return nil
 }
 
-// removeSub detaches s from its shard's fan-out list (idempotent).
-func (ch *Channel) removeSub(s *Subscription) {
+// removeSink detaches snk from the channel's fan-out (idempotent),
+// reporting whether it was attached.
+func (ch *Channel) removeSink(snk deliverySink) bool {
 	ch.mu.Lock()
-	found := s.shard.removeSink(s)
-	ch.mu.Unlock()
-	if found {
+	defer ch.mu.Unlock()
+	return ch.shard.removeSink(snk)
+}
+
+// removeSub detaches s from the channel's fan-out (idempotent).
+func (ch *Channel) removeSub(s *Subscription) {
+	if ch.removeSink(s) {
 		ch.metrics.subscribers.Add(-1)
 	}
 }
 
-// detachFeed removes a derived channel's delivery sink from the parent
-// shard it was attached to.
-func (ch *Channel) detachFeed(sh *shard, d *derivedSink) {
-	ch.mu.Lock()
-	sh.removeSink(d)
-	ch.mu.Unlock()
-}
-
-// Sync blocks until every shard ring and every queue on the channel (and
+// Sync blocks until the fan-out ring and every queue on the channel (and
 // its derived channels) has drained and no delivery is in flight — a
 // barrier for tests and graceful shutdown.
 func (ch *Channel) Sync() {
-	for _, sh := range ch.shards {
-		sh.sync()
-	}
-	for _, sh := range ch.shards {
-		for _, snk := range *sh.sinks.Load() {
-			if s, ok := snk.(*Subscription); ok {
-				s.Sync()
-			}
+	ch.shard.sync()
+	for _, snk := range *ch.shard.sinks.Load() {
+		if s, ok := snk.(*Subscription); ok {
+			s.Sync()
 		}
 	}
-	// Derived channels drain after the parent's shards: once sh.sync
-	// returns, every offer into a child's shards has happened.
+	// Derived channels drain after the parent's fan-out: once shard.sync
+	// returns, every offer into a child's ring has happened.
 	for _, c := range *ch.children.Load() {
 		c.Sync()
 	}
 }
 
 // Close marks the channel closed (publishes fail with ErrChannelClosed) and
-// aborts every subscription: shard rings, queued events, and retained
+// aborts every subscription: the fan-out ring, queued events, and retained
 // events are discarded and sinks that implement io.Closer are closed, so
 // shutdown never waits on a stuck consumer.  Use Sync before Close for a
 // drain-then-stop sequence.
@@ -818,27 +703,21 @@ func (ch *Channel) Close() error {
 	// A derived channel detaches from its parent first, so no new events
 	// flow in while it tears down.
 	if ch.parent != nil && ch.feed != nil {
-		ch.parent.detachFeed(ch.feedShard, ch.feed)
+		ch.parent.removeSink(ch.feed)
 	}
 	for _, c := range *ch.children.Load() {
 		c.Close()
 	}
-	// Wake the shard workers (and any publisher blocked on a full ring)
-	// first, then abort subscriptions so a worker blocked in a Block-policy
-	// offer is released, then wait for the workers to drain and exit.
-	for _, sh := range ch.shards {
-		sh.close()
-	}
-	for _, sh := range ch.shards {
-		for _, snk := range *sh.sinks.Load() {
-			if s, ok := snk.(*Subscription); ok {
-				s.abort()
-			}
+	// Wake the worker (and any publisher blocked on a full ring) first,
+	// then abort subscriptions so a worker blocked in a Block-policy offer
+	// is released, then wait for the worker to drain and exit.
+	ch.shard.close()
+	for _, snk := range *ch.shard.sinks.Load() {
+		if s, ok := snk.(*Subscription); ok {
+			s.abort()
 		}
 	}
-	for _, sh := range ch.shards {
-		<-sh.done
-	}
+	<-ch.shard.done
 	if ch.retainN > 0 {
 		ch.dropRetained()
 	}
@@ -854,8 +733,7 @@ type ChannelStats struct {
 	BlockWaits    int64
 	Subscribers   int64
 	Depth         int64
-	Shards        int64
-	ShardDepth    int64  // events sitting in (or being fanned out from) shard rings
+	ShardDepth    int64  // events sitting in (or being fanned out from) the fan-out ring
 	Head          uint64 // current publish generation (mesh links compare heads across brokers)
 }
 
@@ -871,29 +749,26 @@ func (ch *Channel) Stats() ChannelStats {
 		BlockWaits:    ch.metrics.blockWaits.Value(),
 		Subscribers:   ch.metrics.subscribers.Value(),
 		Depth:         ch.metrics.depth.Value(),
-		Shards:        ch.metrics.shards.Value(),
 		ShardDepth:    ch.metrics.shardDepth.Value(),
 	}
 }
 
-// Subscription is one sink's attachment to a channel.  It lives on exactly
-// one of the channel's shards, whose worker is the only goroutine that
-// offers it events, and it has two ways to deliver them: directly, on the
-// worker, when it is a caught-up in-process Block subscriber, or through a
-// bounded ring of pending events drained by its own writer goroutine (see
-// offerRun).
+// Subscription is one sink's attachment to a channel.  The channel's fan-out
+// worker is the only goroutine that offers it events, and it has two ways to
+// deliver them: directly, on the worker, when it is a caught-up in-process
+// Block subscriber, or through a bounded ring of pending events drained by
+// its own writer goroutine (see offerRun).
 //
 // The inflight token serialises the two.  Whoever holds it — the writer
-// between pop and write-complete, the shard worker for the length of a
+// between pop and write-complete, the fan-out worker for the length of a
 // direct delivery — owns the sink and the delivery state below (sent,
 // viewAnnounced, the gens/frames scratch); it is taken and returned under
 // mu, which is the hand-off fence between the two goroutines.
 type Subscription struct {
 	ch       *Channel
-	shard    *shard
 	sink     Sink
 	policy   Policy
-	queued   bool   // broker-wrapped io.Writer sink: never run it on the shard worker
+	queued   bool   // broker-wrapped io.Writer sink: never run it on the fan-out worker
 	afterGen uint64 // publish generation at attach; earlier events are skipped
 
 	resume      bool   // SubAfter given: replay retained events first
@@ -904,7 +779,7 @@ type Subscription struct {
 	ring     []*event
 	head     int
 	count    int
-	inflight bool // a delivery is in progress (writer or shard worker)
+	inflight bool // a delivery is in progress (writer or fan-out worker)
 	syncers  int  // goroutines parked in Sync
 	closed   bool
 	failed   error
@@ -946,7 +821,7 @@ func (s *Subscription) Err() error {
 // attachGen is the deliverySink seam: events at or before it are skipped.
 func (s *Subscription) attachGen() uint64 { return s.afterGen }
 
-// offerRun is the deliverySink seam: the shard worker hands over a run of
+// offerRun is the deliverySink seam: the fan-out worker hands over a run of
 // events.  A Block subscriber whose sink is the embedder's own, with nothing
 // queued and no delivery in flight, is caught up, and the worker delivers
 // the run into the sink itself — no queue, no second goroutine to wake.
@@ -967,9 +842,9 @@ func (s *Subscription) offerRun(evs []*event) {
 	}
 }
 
-// deliverDirect delivers a run on the calling (shard worker) goroutine if
+// deliverDirect delivers a run on the calling (fan-out worker) goroutine if
 // the subscription is caught up, reporting whether it took the run.  The
-// events are only borrowed: the shard's references outlive the call and
+// events are only borrowed: the worker's references outlive the call and
 // nothing is queued, so no reference is taken and depth does not move.
 func (s *Subscription) deliverDirect(evs []*event) bool {
 	s.mu.Lock()
@@ -992,7 +867,7 @@ func (s *Subscription) deliverDirect(evs []*event) bool {
 
 // endDelivery returns the inflight token, failing the subscription if the
 // delivery did.  The detach that follows a failure is the writer
-// goroutine's job on either path (see run): the shard worker must not take
+// goroutine's job on either path (see run): the fan-out worker must not take
 // ch.mu, which a resuming subscriber holds while waiting on a publisher
 // that is itself waiting on this worker.  Waiters are woken only when there
 // can be any — the parked writer of a caught-up subscriber has nothing to
@@ -1204,7 +1079,7 @@ func (s *Subscription) Sync() {
 // abort tears the subscription down without draining: the queue is
 // discarded and, if the sink is closable, it is closed to unblock any write
 // in flight — on the writer goroutine or, for a direct delivery, on the
-// shard worker.  It returns once the sink is no longer being called.  Used
+// fan-out worker.  It returns once the sink is no longer being called.  Used
 // by Channel.Close so shutdown cannot hang on a consumer that stopped
 // reading.
 func (s *Subscription) abort() {

@@ -6,18 +6,18 @@ import (
 )
 
 // derivedSink feeds a derived channel from its parent's stream through the
-// same deliverySink contract local subscriptions use: it attaches to one of
-// the parent's shards, and the shard worker offers it every run.  An
+// same deliverySink contract local subscriptions use: it attaches to the
+// parent's fan-out, and the parent's worker offers it every run.  An
 // accepted event — one whose decoded record matches the child's filter — is
-// enqueued into the child's own shards, which take their own references
+// enqueued into the child's own fan-out ring, which takes its own reference
 // (the parent's frame is shared; filtering adds a decode but no copy).
 //
-// Running the filter here, on the parent's shard worker, keeps the decode
-// off the publisher's goroutine; the cost is one decode per derived channel
-// per event rather than one per event, the usual price of moving work off
-// the producer.  Backpressure remains transitive: a Block-policy subscriber
-// of the child blocks the child's shard ring, which blocks this offerRun,
-// which blocks the parent's shard worker and ultimately the publisher.
+// Running the filter here, on the parent's worker, keeps the decode off the
+// publisher's goroutine; the cost is one decode per derived channel per
+// event rather than one per event, the usual price of moving work off the
+// producer.  Backpressure remains transitive: a Block-policy subscriber of
+// the child blocks the child's ring, which blocks this offerRun, which
+// blocks the parent's worker and ultimately the publisher.
 type derivedSink struct {
 	child *Channel
 	gen   uint64 // parent generation at attach; earlier events are skipped
@@ -43,6 +43,6 @@ func (d *derivedSink) offerRun(evs []*event) {
 			continue
 		}
 		child.metrics.published.Inc()
-		child.enqueueShards(ev)
+		child.enqueue(ev)
 	}
 }

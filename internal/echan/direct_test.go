@@ -125,13 +125,13 @@ func repeatBool(v bool, n int) []bool {
 	return out
 }
 
-// directChannel is a one-shard channel (so every subscriber shares the one
-// worker) and a publish function numbering events from 1, like their gens.
+// directChannel is a channel and a publish function numbering events from
+// 1, like their gens.
 func directChannel(t *testing.T, opts ...ChannelOption) (*Broker, *Channel, func(n int)) {
 	t.Helper()
 	b := NewBroker(WithRegistry(obs.NewRegistry()))
 	t.Cleanup(func() { b.Close() })
-	ch, err := b.Create("direct", append([]ChannelOption{WithShards(1)}, opts...)...)
+	ch, err := b.Create("direct", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestDirectDrainTransitions(t *testing.T) {
 	}
 	<-snk.entered // the writer is parked inside the sink with the replay
 	publish(2)    // 10, 11: live, behind the replay
-	ch.shards[0].sync()
+	ch.shard.sync()
 	if d := ch.Stats().Depth; d < 2 {
 		t.Errorf("subscription depth %d with the writer behind, want the live events queued", d)
 	}
@@ -264,7 +264,7 @@ func TestDirectDrainResumeUnderLoad(t *testing.T) {
 // that frame — the shard worker (a live attach) or the writer (a SubAfter
 // replay) — and is never repeated when the other goroutine takes over.
 func TestDirectDrainPinnedAnnouncement(t *testing.T) {
-	_, ch, chain, pctx := sensorBroker(t, WithShards(1), WithRetain(16))
+	_, ch, chain, pctx := sensorBroker(t, WithRetain(16))
 	live := newStepSink()
 	if _, err := ch.SubscribeVersionSink(live, Block, 1); err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestDropSinksNeverHoldTheWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	publish(16)
-	ch.shards[0].sync() // returns only if no stalled sink is holding the worker
+	ch.shard.sync() // returns only if no stalled sink is holding the worker
 	wantPaths(t, "Block sibling", sibling, repeatBool(true, 16))
 	if st := ch.Stats(); st.DroppedOldest == 0 || st.DroppedNewest == 0 || st.BlockWaits != 0 {
 		t.Errorf("stats %+v: want both Drop sinks dropping and no Block wait", st)
@@ -340,7 +340,7 @@ func (p *pathWriter) Write(b []byte) (int, error) {
 // TestWriterSubscribersStayQueued: sinks the broker wraps around an
 // io.Writer are never run on the shard worker, Block policy or not.
 func TestWriterSubscribersStayQueued(t *testing.T) {
-	_, ch, chain, pctx := sensorBroker(t, WithShards(1))
+	_, ch, chain, pctx := sensorBroker(t)
 	var plain, pinned pathWriter
 	if _, err := ch.Subscribe(&plain, Block); err != nil {
 		t.Fatal(err)
@@ -452,9 +452,9 @@ func TestDirectDeliveryErrorDetaches(t *testing.T) {
 	if gens, _ := bad.paths(); len(gens) > 2 {
 		t.Errorf("failed sink was handed generations %v past its failure", gens)
 	}
-	if st := ch.Stats(); st.Subscribers != 1 || len(*ch.shards[0].sinks.Load()) != 1 {
+	if st := ch.Stats(); st.Subscribers != 1 || len(*ch.shard.sinks.Load()) != 1 {
 		t.Errorf("%d subscribers, %d sinks on the shard after the failure, want 1 and 1",
-			st.Subscribers, len(*ch.shards[0].sinks.Load()))
+			st.Subscribers, len(*ch.shard.sinks.Load()))
 	}
 	publish(1)
 	ch.Sync()
@@ -466,7 +466,7 @@ func TestDirectDeliveryErrorDetaches(t *testing.T) {
 }
 
 // TestDirectFanout64AllocFree is TestFanout64AllocFree for in-process
-// sinks: publish, one hand-off, 64 sink calls on the shard workers, and
+// sinks: publish, one hand-off, 64 sink calls on the fan-out worker, and
 // nothing allocated, queued or waited for.
 func TestDirectFanout64AllocFree(t *testing.T) {
 	b := NewBroker(WithRegistry(obs.NewRegistry()))

@@ -33,7 +33,6 @@ package echan
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -111,16 +110,11 @@ type Broker struct {
 	registrar     func(*meta.Format) error
 	schemaReg     *registry.Registry
 	defaultQueue  int
-	defaultShards int
 	defaultRetain int
-	encodeWorkers int
 
 	mu       sync.Mutex
 	channels map[string]*Channel
 	closed   bool
-
-	encMu   sync.Mutex
-	encPool *pbio.EncodePool
 }
 
 // BrokerOption configures a Broker.
@@ -168,29 +162,6 @@ func WithDefaultQueue(n int) BrokerOption {
 	}
 }
 
-// WithDefaultShards sets the default fan-out shard count for channels
-// created without an explicit WithShards.  The default scales with the
-// hardware: runtime.GOMAXPROCS(0), so a channel's fan-out can occupy
-// every core.  Use 1 to reproduce the single-worker fan-out.
-func WithDefaultShards(n int) BrokerOption {
-	return func(b *Broker) {
-		if n > 0 {
-			b.defaultShards = n
-		}
-	}
-}
-
-// WithParallelEncode gives the broker an encode pool of the given worker
-// count, used by Channel.PublishBatch to marshal independent events
-// concurrently — the publisher-side dual of the fan-out shards, finally
-// wired into the channel path (transport.WithParallelEncode covers the
-// remote-publisher connection; this covers in-process publishers).  The
-// pool starts on first use and stops at Broker.Close.  workers <= 1 leaves
-// PublishBatch on the serial path.
-func WithParallelEncode(workers int) BrokerOption {
-	return func(b *Broker) { b.encodeWorkers = workers }
-}
-
 // WithDefaultRetain sets the default retention depth (see WithRetain) for
 // channels created without an explicit one.  A federated broker needs
 // retention on every channel a mesh link may attach to, so cmd/echod sets
@@ -206,9 +177,8 @@ func WithDefaultRetain(n int) BrokerOption {
 // NewBroker creates an empty broker.
 func NewBroker(opts ...BrokerOption) *Broker {
 	b := &Broker{
-		channels:      make(map[string]*Channel),
-		defaultQueue:  64,
-		defaultShards: runtime.GOMAXPROCS(0),
+		channels:     make(map[string]*Channel),
+		defaultQueue: 64,
 	}
 	for _, o := range opts {
 		o(b)
@@ -227,20 +197,6 @@ func (b *Broker) Context() *pbio.Context { return b.ctx }
 
 // SchemaRegistry returns the attached schema registry, or nil.
 func (b *Broker) SchemaRegistry() *registry.Registry { return b.schemaReg }
-
-// encodePool returns the broker's shared encode pool, starting it on first
-// use, or nil when parallel encoding is not configured.
-func (b *Broker) encodePool() *pbio.EncodePool {
-	if b.encodeWorkers <= 1 {
-		return nil
-	}
-	b.encMu.Lock()
-	defer b.encMu.Unlock()
-	if b.encPool == nil {
-		b.encPool = pbio.NewEncodePool(b.encodeWorkers)
-	}
-	return b.encPool
-}
 
 // validName reports whether a channel name is acceptable: non-empty, at
 // most 128 bytes, drawn from [A-Za-z0-9_.-].
@@ -350,23 +306,14 @@ func (b *Broker) Derive(name, parent string, f *Filter, opts ...ChannelOption) (
 	ch.formats = p.formats // share the parent's announcement table
 	ch.gen = p.gen         // and its publish generation (events carry parent gens)
 	ch.oob = p.oob
-	b.channels[name] = ch
-	p.addChild(ch)
 	// The child consumes the parent's stream through the same delivery-sink
-	// contract as any subscriber: a derivedSink on one of the parent's
-	// shards, running the filter on the shard worker's goroutine.
-	d := &derivedSink{child: ch, gen: p.gen.Load()}
-	ch.feed = d
-	p.mu.Lock()
-	target := p.shards[0]
-	for _, sh := range p.shards[1:] {
-		if len(*sh.sinks.Load()) < len(*target.sinks.Load()) {
-			target = sh
-		}
+	// contract as any subscriber: a derivedSink on the parent's fan-out,
+	// running the filter on the parent's worker goroutine.
+	if err := p.attachChild(ch, &derivedSink{child: ch, gen: p.gen.Load()}); err != nil {
+		ch.Close()
+		return nil, err
 	}
-	ch.feedShard = target
-	target.addSink(d)
-	p.mu.Unlock()
+	b.channels[name] = ch
 	return ch, nil
 }
 
@@ -394,12 +341,6 @@ func (b *Broker) Close() error {
 	for _, ch := range chans {
 		ch.Close()
 	}
-	b.encMu.Lock()
-	if b.encPool != nil {
-		b.encPool.Close()
-		b.encPool = nil
-	}
-	b.encMu.Unlock()
 	return nil
 }
 

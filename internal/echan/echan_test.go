@@ -299,13 +299,13 @@ func TestBlockPolicy(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := NewBroker(WithRegistry(reg))
 	defer b.Close()
-	// A one-slot shard ring plus a one-slot subscriber queue pins the
+	// A one-slot fan-out ring plus a one-slot subscriber queue pins the
 	// end-to-end pipeline capacity exactly: ev1 with the writer (its write
 	// blocked on the unread pipe), ev2 in the subscriber queue, ev3 held by
-	// the shard worker blocked in its Block-policy offer, ev4 in the shard
+	// the fan-out worker blocked in its Block-policy offer, ev4 in the
 	// ring.  Publish 5 must then block on the full ring until the reader
 	// drains — backpressure reaches the publisher transitively.
-	ch, err := b.Create("lossless", WithShardRing(1))
+	ch, err := b.Create("lossless", WithQueue(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestBlockPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "shard worker blocked in offer", func() bool { return ch.Stats().BlockWaits >= 1 })
+	waitFor(t, "fan-out worker blocked in offer", func() bool { return ch.Stats().BlockWaits >= 1 })
 	pubDone := make(chan error, 1)
 	go func() { pubDone <- ch.Publish(bind, &Event{Seq: 5}) }()
 	time.Sleep(20 * time.Millisecond)
@@ -411,6 +411,25 @@ func TestDerivedChannelFilter(t *testing.T) {
 	}
 	if _, err := b.Derive("x", "nope", MustFilter("temp > 0")); !errors.Is(err, ErrNoChannel) {
 		t.Errorf("derive of missing parent: %v", err)
+	}
+}
+
+// TestDeriveOfClosedChannel: a closed channel's worker has exited, so a
+// channel derived from it could never deliver.  Derive refuses, and the
+// refused name stays free.
+func TestDeriveOfClosedChannel(t *testing.T) {
+	b := NewBroker(WithRegistry(obs.NewRegistry()))
+	defer b.Close()
+	raw, err := b.Create("raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+	if _, err := b.Derive("hot", "raw", MustFilter("temp >= 30")); !errors.Is(err, ErrChannelClosed) {
+		t.Fatalf("derive of closed parent: %v, want ErrChannelClosed", err)
+	}
+	if _, err := b.Create("hot"); err != nil {
+		t.Errorf("name of the refused derive is taken: %v", err)
 	}
 }
 

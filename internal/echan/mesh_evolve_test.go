@@ -172,9 +172,6 @@ func TestMeshEvolutionSoak(t *testing.T) {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 		if i == cut {
-			if err := pub.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			// The doomed subscriber has its span in flight; let it finish
 			// and tear down before the stream moves on.
 			d := <-doomDone
@@ -205,9 +202,6 @@ func TestMeshEvolutionSoak(t *testing.T) {
 			defer resSub.Close()
 			go recvEvolvedWire(t, resSub, "B(resumed)", n-cut, chain[0].ID(), doomDone)
 		}
-	}
-	if err := pub.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	// Every upgrade is additive; any asynchronous compat rejection is a bug.
 	if err := pub.Status(200 * time.Millisecond); err != nil {

@@ -142,9 +142,6 @@ func TestMeshSoak3Brokers(t *testing.T) {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	if err := pub.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	deadline := time.After(60 * time.Second)
 	for range subs {

@@ -387,9 +387,6 @@ func TestMeshRemoteJoinerReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := pub.Flush(); err != nil {
-				t.Fatal(err)
-			}
 
 			// Join mid-stream through B with a raw connection, so the frame
 			// order on the wire is observable.
@@ -408,7 +405,6 @@ func TestMeshRemoteJoinerReplay(t *testing.T) {
 					if pub.Send(bind, &Event{Seq: int32(i), Temp: float64(i)}) != nil {
 						return
 					}
-					pub.Flush()
 					time.Sleep(time.Millisecond)
 				}
 			}()

@@ -3,38 +3,32 @@ package echan
 import (
 	"sync"
 	"sync/atomic"
-
-	"github.com/open-metadata/xmit/internal/obs"
 )
 
-// shard owns one slice of a channel's delivery-sink set: a bounded ring of
-// published events drained by a dedicated worker goroutine that offers each
-// popped run to the sinks of its slice.  Sharding moves the O(sinks) fan-out
-// work off the publisher's goroutine — publish costs O(shards) ring
-// enqueues — and lets the fan-out of a wide subscriber set run on every
-// core instead of one.  Everything a channel feeds — local subscriptions,
-// derived channels, mesh link subscribers — attaches here through the one
-// deliverySink contract.
+// shard is a channel's fan-out stage: a bounded ring of published events
+// drained by one worker goroutine that offers each popped run to every
+// delivery sink of the channel.  The worker moves the O(sinks) fan-out work
+// off the publisher's goroutine — publish costs one ring enqueue — and
+// separate channels fan out on separate workers, so separate cores.
+// Everything a channel feeds — local subscriptions, derived channels, mesh
+// link subscribers — attaches here through the one deliverySink contract.
 //
 // The worker is also where a caught-up in-process Block subscriber's sink
 // runs (Subscription.offerRun's direct drain): such an event crosses one
-// hand-off, publisher → shard ring → sink, and the parallelism of a wide
-// fan-out is the shard count.  Everything else — Drop subscribers, socket
-// subscribers, Block subscribers that have fallen behind — is queued on the
-// subscription and drained by its own writer goroutine.
+// hand-off, publisher → ring → sink.  Everything else — Drop subscribers,
+// socket subscribers, Block subscribers that have fallen behind — is queued
+// on the subscription and drained by its own writer goroutine.
 //
-// Ordering: a sink belongs to exactly one shard for its lifetime, the ring
-// is FIFO, and the worker offers events to its sinks in ring order, so
-// per-sink FIFO delivery is preserved.  Backpressure is transitive: a
-// Block-policy subscriber that is slow (caught up) or has a full queue
-// (behind) holds the shard worker, the shard ring fills, and the publisher
+// Ordering: the ring is FIFO and the worker offers events to its sinks in
+// ring order, so per-sink FIFO delivery is preserved.  Backpressure is
+// transitive: a Block-policy subscriber that is slow (caught up) or has a
+// full queue (behind) holds the worker, the ring fills, and the publisher
 // blocks on the next enqueue — lossless end to end, with bounded memory.
 type shard struct {
-	ch  *Channel
-	idx int
+	ch *Channel
 
-	// sinks is the shard's slice of the channel's delivery-sink set,
-	// mutated copy-on-write under ch.mu and read lock-free by the worker.
+	// sinks is the channel's delivery-sink set, mutated copy-on-write under
+	// ch.mu and read lock-free by the worker.
 	sinks atomic.Pointer[[]deliverySink]
 
 	mu     sync.Mutex
@@ -48,19 +42,15 @@ type shard struct {
 
 	batch []*event // worker scratch: the ring slice popped per drain
 	late  []*event // worker scratch: a run trimmed for a sink that attached inside it
-
-	events *obs.Counter // events this shard's worker has fanned out
 }
 
-func newShard(ch *Channel, idx, ring int, events *obs.Counter) *shard {
+func newShard(ch *Channel, ring int) *shard {
 	sh := &shard{
-		ch:     ch,
-		idx:    idx,
-		ring:   make([]*event, ring),
-		batch:  make([]*event, 0, ring),
-		late:   make([]*event, 0, ring),
-		done:   make(chan struct{}),
-		events: events,
+		ch:    ch,
+		ring:  make([]*event, ring),
+		batch: make([]*event, 0, ring),
+		late:  make([]*event, 0, ring),
+		done:  make(chan struct{}),
 	}
 	sh.cond.L = &sh.mu
 	empty := []deliverySink{}
@@ -91,10 +81,10 @@ func (sh *shard) enqueue(ev *event) bool {
 	return true
 }
 
-// run is the shard's worker loop: pop every ready event, offer the whole
-// run to each sink in turn (ring order per sink, so per-sink FIFO holds),
-// release the shard's references.  Draining in runs is what feeds the
-// vectored write path — a subscription handed N events at once delivers
+// run is the worker loop: pop every ready event, offer the whole run to
+// each sink in turn (ring order per sink, so per-sink FIFO holds), release
+// the shard's references.  Draining in runs is what feeds the vectored
+// write path — a subscription handed N events at once delivers
 // them as one WriteEvents, on this goroutine when it is caught up or from
 // its queue when it is not.  On close the worker drains the ring, releasing
 // undelivered events, and exits.
@@ -138,9 +128,9 @@ func (sh *shard) run() {
 	}
 }
 
-// fanOut offers a run of events to every sink in the shard, one sink at a
-// time so each sink sees the run whole (the shape the vectored write
-// coalesces).  Per-sink delivery order is the ring order, exactly as the
+// fanOut offers a run of events to every sink, one sink at a time so each
+// sink sees the run whole (the shape the vectored write coalesces).
+// Per-sink delivery order is the ring order, exactly as the
 // one-event-at-a-time loop produced; cross-sink interleaving was never part
 // of the contract.  A sink that attached after some of the run was
 // published (gen <= attachGen) gets the run without those events: a
@@ -173,7 +163,6 @@ func (sh *shard) fanOut(evs []*event) {
 			clear(late)
 		}
 	}
-	sh.events.Add(int64(len(evs)))
 }
 
 // sync blocks until the ring is empty and no fan-out (direct deliveries
@@ -196,7 +185,7 @@ func (sh *shard) close() {
 	sh.mu.Unlock()
 }
 
-// addSink appends a sink to the shard's fan-out slice.  Callers hold ch.mu.
+// addSink appends a sink to the fan-out set.  Callers hold ch.mu.
 func (sh *shard) addSink(snk deliverySink) {
 	old := *sh.sinks.Load()
 	next := make([]deliverySink, len(old)+1)
@@ -205,8 +194,8 @@ func (sh *shard) addSink(snk deliverySink) {
 	sh.sinks.Store(&next)
 }
 
-// removeSink detaches a sink from the shard's fan-out slice, reporting
-// whether it was present.  Callers hold ch.mu.
+// removeSink detaches a sink from the fan-out set, reporting whether it was
+// present.  Callers hold ch.mu.
 func (sh *shard) removeSink(snk deliverySink) bool {
 	old := *sh.sinks.Load()
 	next := make([]deliverySink, 0, len(old))

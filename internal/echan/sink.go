@@ -57,7 +57,7 @@ type deliverySink interface {
 // SubscribeVersionSink is called straight from the channel's shard worker
 // while it is caught up, and from its own writer goroutine while it has
 // events queued.  The shard worker is shared — the time such a sink takes is
-// time its shard's other subscribers wait, which is the Block contract
+// time the channel's other subscribers wait, which is the Block contract
 // arriving at once instead of a queue length later — and it is the goroutine
 // publishers block behind, so a Block sink must not publish onto the channel
 // it is draining, nor close its own subscription from inside a call.

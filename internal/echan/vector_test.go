@@ -94,7 +94,7 @@ func TestWriteBatchSingleEquivalence(t *testing.T) {
 func TestBatchedDrainChaosSoak(t *testing.T) {
 	const subscribers = 4
 	n := soakN()
-	b := NewBroker(WithRegistry(obs.NewRegistry()), WithDefaultShards(2))
+	b := NewBroker(WithRegistry(obs.NewRegistry()))
 	defer b.Close()
 	ch, err := b.Create("vsoak", WithQueue(32))
 	if err != nil {
@@ -164,7 +164,7 @@ func TestShardedFanoutBatchedBurstAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector; the gate would measure that")
 	}
-	b := NewBroker(WithRegistry(obs.NewRegistry()), WithDefaultShards(4))
+	b := NewBroker(WithRegistry(obs.NewRegistry()))
 	defer b.Close()
 	ch, err := b.Create("fanburst", WithQueue(128))
 	if err != nil {
@@ -200,61 +200,6 @@ func TestShardedFanoutBatchedBurstAllocFree(t *testing.T) {
 	writes, _ := b.reg.Value("echan_fanburst_sink_writes_total")
 	if writes <= 0 || writes >= float64(st.Delivered) {
 		t.Errorf("sink writes = %v for %d deliveries; burst drain did not batch", writes, st.Delivered)
-	}
-}
-
-// TestPublishBatchParallelEncode pins the broker-side parallel encode
-// path: on a WithParallelEncode broker, PublishBatch must deliver a byte
-// stream identical to a serial Publish loop on a pool-less broker — same
-// frames, argument order preserved.
-func TestPublishBatchParallelEncode(t *testing.T) {
-	const events = 96
-	mk := func(i int) *Event { return &Event{Seq: int32(i), Temp: float64(i) / 4} }
-
-	serial := NewBroker(WithRegistry(obs.NewRegistry()))
-	defer serial.Close()
-	sch, err := serial.Create("pbserial")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sSink lockedBuf
-	if _, err := sch.Subscribe(&sSink, Block); err != nil {
-		t.Fatal(err)
-	}
-	_, sBind := eventBinding(t, platform.X8664)
-	for i := 0; i < events; i++ {
-		if err := sch.Publish(sBind, mk(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sch.Sync()
-
-	par := NewBroker(WithRegistry(obs.NewRegistry()), WithParallelEncode(4))
-	defer par.Close()
-	pch, err := par.Create("pbpar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pSink lockedBuf
-	if _, err := pch.Subscribe(&pSink, Block); err != nil {
-		t.Fatal(err)
-	}
-	_, pBind := eventBinding(t, platform.X8664)
-	vs := make([]any, events)
-	for i := range vs {
-		vs[i] = mk(i)
-	}
-	if err := pch.PublishBatch(pBind, vs...); err != nil {
-		t.Fatal(err)
-	}
-	pch.Sync()
-
-	if got, want := pSink.snapshot(), sSink.snapshot(); !bytes.Equal(got, want) {
-		t.Fatalf("PublishBatch stream differs from serial Publish loop: %d vs %d bytes",
-			len(got), len(want))
-	}
-	if st := pch.Stats(); st.Published != events {
-		t.Errorf("published = %d, want %d", st.Published, events)
 	}
 }
 

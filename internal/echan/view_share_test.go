@@ -309,7 +309,7 @@ func TestViewBuffersReleased(t *testing.T) {
 		t.Fatalf("stats %+v: the stalled subscribers dropped nothing", st)
 	}
 	// Close with the stalled writers mid-write and their queues, the
-	// retention ring and the shard ring all holding projected events.
+	// retention ring and the fan-out ring all holding projected events.
 	done := make(chan struct{})
 	go func() { ch.Close(); close(done) }()
 	close(stalled.gate)
@@ -323,11 +323,12 @@ func TestViewBuffersReleased(t *testing.T) {
 	}
 }
 
-// TestViewConcurrentShards drives a multi-shard channel with concurrent
-// publishers and pinned subscribers on two versions; run under -race it is
-// the check that memoisation on a shared event is properly synchronised.
-func TestViewConcurrentShards(t *testing.T) {
-	_, ch, chain, pctx := sensorBroker(t, WithShards(4), WithQueue(64))
+// TestViewConcurrentPublishers drives a channel with concurrent publishers
+// and pinned subscribers on two versions, the writers of the queued ones
+// running beside the fan-out worker; run under -race it is the check that
+// memoisation on a shared event is properly synchronised.
+func TestViewConcurrentPublishers(t *testing.T) {
+	_, ch, chain, pctx := sensorBroker(t, WithQueue(64))
 	var sinks []*captureSink
 	for i := 0; i < 8; i++ {
 		sinks = append(sinks, pinSink(t, ch, 1+i%2, Block))

@@ -323,9 +323,6 @@ func TestLineageVerbs(t *testing.T) {
 		if err := pub.SendRecord(rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := pub.Flush(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	// Seed v1 so the lineage resolves before the first publish.
 	if _, err := reg.Register("telemetry", chain[0], "seed"); err != nil {

@@ -19,7 +19,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/obs"
@@ -69,8 +68,7 @@ const (
 //
 // Sends marshal into pooled buffers (see pbio.GetBuffer) and hand the
 // underlying stream one contiguous frame per Write, so a steady-state send
-// performs no allocation and one syscall.  With WithBatching, frames
-// accumulate and a Write covers up to batchMax messages.
+// performs no allocation and one syscall.
 type Conn struct {
 	rwc io.ReadWriteCloser
 	ctx *pbio.Context
@@ -78,22 +76,8 @@ type Conn struct {
 	mode     Mode
 	maxFrame int // frame size cap (DefaultMaxFrame unless WithMaxFrame)
 
-	batchMax   int           // >1 enables batching
-	flushAfter time.Duration // deadline for a partially filled batch
-
-	sendMu     sync.Mutex
-	announced  map[meta.FormatID]bool
-	batch      *pbio.Buffer // accumulated frames awaiting a flush
-	batchN     int          // data messages in batch
-	flushTimer *time.Timer
-	flushErr   error // write error from a timer-driven flush
-
-	// Parallel-encode state (see parallel.go): workers is set by
-	// WithParallelEncode, the pool is started lazily by SendParallel, and
-	// encJobs is the reused per-batch job slice (guarded by sendMu).
-	encodeWorkers int
-	encPool       *pbio.EncodePool
-	encJobs       []*pbio.EncodeJob
+	sendMu    sync.Mutex
+	announced map[meta.FormatID]bool
 
 	// rd is the receive side's one buffered reader (bufio's default 4 KB),
 	// created at the first receive so a send-only connection pays nothing,
@@ -113,8 +97,6 @@ type connStats struct {
 	bytesReceived    atomic.Int64
 	formatsAnnounced atomic.Int64
 	formatsLearned   atomic.Int64
-	batchFlushes     atomic.Int64
-	batchMessages    atomic.Int64
 }
 
 // Stats is a snapshot of a connection's traffic counters.  Byte counts
@@ -129,11 +111,6 @@ type Stats struct {
 	BytesReceived    int64
 	FormatsAnnounced int64
 	FormatsLearned   int64
-	// BatchFlushes counts Writes that drained a frame batch;
-	// BatchMessages counts the data messages those flushes carried, so
-	// BatchMessages/BatchFlushes is the mean syscall coalescing factor.
-	BatchFlushes  int64
-	BatchMessages int64
 }
 
 // Stats returns a snapshot of the connection's counters.
@@ -145,8 +122,6 @@ func (c *Conn) Stats() Stats {
 		BytesReceived:    c.stats.bytesReceived.Load(),
 		FormatsAnnounced: c.stats.formatsAnnounced.Load(),
 		FormatsLearned:   c.stats.formatsLearned.Load(),
-		BatchFlushes:     c.stats.batchFlushes.Load(),
-		BatchMessages:    c.stats.batchMessages.Load(),
 	}
 }
 
@@ -166,8 +141,6 @@ func (c *Conn) PublishStats(reg *obs.Registry, prefix string) {
 	reg.RegisterFunc(prefix+"_bytes_received", read(&c.stats.bytesReceived))
 	reg.RegisterFunc(prefix+"_formats_announced", read(&c.stats.formatsAnnounced))
 	reg.RegisterFunc(prefix+"_formats_learned", read(&c.stats.formatsLearned))
-	reg.RegisterFunc(prefix+"_batch_flushes", read(&c.stats.batchFlushes))
-	reg.RegisterFunc(prefix+"_batch_messages", read(&c.stats.batchMessages))
 }
 
 // ConnOption configures a Conn.
@@ -187,19 +160,6 @@ func WithMaxFrame(n int) ConnOption {
 		if n > 0 {
 			c.maxFrame = n
 		}
-	}
-}
-
-// WithBatching coalesces up to maxMsgs data messages into a single Write on
-// the underlying stream.  A partially filled batch is flushed when
-// flushAfter elapses (if positive), on an explicit Flush, or on Close, so a
-// message waits at most flushAfter before reaching the wire.  maxMsgs <= 1
-// leaves batching off.  A write error from a deadline-driven flush is
-// latched and returned by the next Send/Flush.
-func WithBatching(maxMsgs int, flushAfter time.Duration) ConnOption {
-	return func(c *Conn) {
-		c.batchMax = maxMsgs
-		c.flushAfter = flushAfter
 	}
 }
 
@@ -226,27 +186,13 @@ func NewConnReader(rwc io.ReadWriteCloser, rd *bufio.Reader, ctx *pbio.Context, 
 // Context returns the PBIO context the connection uses.
 func (c *Conn) Context() *pbio.Context { return c.ctx }
 
-// Close flushes any batched frames, stops the encode pool if one was
-// started, and closes the underlying stream.
-func (c *Conn) Close() error {
-	flushErr := c.Flush()
-	c.sendMu.Lock()
-	if c.encPool != nil {
-		c.encPool.Close()
-		c.encPool = nil
-	}
-	c.sendMu.Unlock()
-	if err := c.rwc.Close(); err != nil {
-		return err
-	}
-	return flushErr
-}
+// Close closes the underlying stream.
+func (c *Conn) Close() error { return c.rwc.Close() }
 
 // Send marshals v with the binding and transmits it, announcing the
 // format's metadata first if this connection hasn't seen it and the mode is
 // InBand.  The message is framed inside a pooled buffer and written in a
-// single Write (or appended to the current batch), so steady-state sends
-// allocate nothing.
+// single Write, so steady-state sends allocate nothing.
 func (c *Conn) Send(b *pbio.Binding, v any) error {
 	buf := pbio.GetBuffer()
 	defer buf.Release()
@@ -278,7 +224,8 @@ func (c *Conn) SendRecord(r *pbio.Record) error {
 }
 
 // sendFramed finishes a data frame whose buffer holds FrameHeaderSize
-// reserved bytes followed by the message, then writes or batches it.
+// reserved bytes followed by the message, then writes it, announcing the
+// format first when the connection needs to.
 func (c *Conn) sendFramed(id meta.FormatID, f *meta.Format, buf *pbio.Buffer) error {
 	payload := len(buf.B) - FrameHeaderSize
 	if payload+1 > c.maxFrame {
@@ -289,112 +236,25 @@ func (c *Conn) sendFramed(id meta.FormatID, f *meta.Format, buf *pbio.Buffer) er
 
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if err := c.takeFlushErr(); err != nil {
-		return err
-	}
 	if c.mode == InBand && !c.announced[id] {
 		canon := f.Canonical()
-		if err := c.writeOrBatch(FrameFormat, canon, nil); err != nil {
+		if len(canon)+1 > c.maxFrame {
+			return fmt.Errorf("transport: %d-byte payload over the %d-byte cap: %w",
+				len(canon), c.maxFrame, ErrFrameTooLarge)
+		}
+		if err := writeFrame(c.rwc, FrameFormat, canon); err != nil {
 			return err
 		}
 		c.announced[id] = true
 		c.stats.formatsAnnounced.Add(1)
 		c.stats.bytesSent.Add(int64(len(canon)) + FrameHeaderSize)
 	}
-	if err := c.writeOrBatch(FrameData, nil, buf.B); err != nil {
+	if _, err := c.rwc.Write(buf.B); err != nil {
 		return err
 	}
 	c.stats.messagesSent.Add(1)
 	c.stats.bytesSent.Add(int64(len(buf.B)))
 	return nil
-}
-
-// writeOrBatch transmits one frame, given either a raw payload to be framed
-// (payload != nil) or a prebuilt frame including its header.  Without
-// batching it issues one Write; with batching it appends to the batch
-// buffer and flushes when the batch reaches batchMax data messages.
-// Callers hold sendMu.
-func (c *Conn) writeOrBatch(kind byte, payload, frame []byte) error {
-	if payload != nil && len(payload)+1 > c.maxFrame {
-		return fmt.Errorf("transport: %d-byte payload over the %d-byte cap: %w",
-			len(payload), c.maxFrame, ErrFrameTooLarge)
-	}
-	if c.batchMax <= 1 {
-		if frame != nil {
-			_, err := c.rwc.Write(frame)
-			return err
-		}
-		return writeFrame(c.rwc, kind, payload)
-	}
-	if c.batch == nil {
-		c.batch = pbio.GetBuffer()
-	}
-	if frame != nil {
-		c.batch.B = append(c.batch.B, frame...)
-	} else {
-		c.batch.B = AppendFrame(c.batch.B, kind, payload)
-	}
-	if kind == FrameData {
-		c.batchN++
-		if c.batchN >= c.batchMax {
-			return c.flushLocked()
-		}
-		if c.flushTimer == nil && c.flushAfter > 0 {
-			c.flushTimer = time.AfterFunc(c.flushAfter, c.deadlineFlush)
-		}
-	}
-	return nil
-}
-
-// Flush writes out any batched frames.  It is a no-op on an unbatched
-// connection or an empty batch, and also surfaces a pending error from a
-// deadline-driven flush.
-func (c *Conn) Flush() error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if err := c.takeFlushErr(); err != nil {
-		return err
-	}
-	return c.flushLocked()
-}
-
-// takeFlushErr returns and clears the error latched by a deadline flush.
-// Callers hold sendMu.
-func (c *Conn) takeFlushErr() error {
-	err := c.flushErr
-	c.flushErr = nil
-	return err
-}
-
-// flushLocked drains the batch with a single Write.  Callers hold sendMu.
-func (c *Conn) flushLocked() error {
-	if c.flushTimer != nil {
-		c.flushTimer.Stop()
-		c.flushTimer = nil
-	}
-	if c.batch == nil || len(c.batch.B) == 0 {
-		return nil
-	}
-	n := c.batchN
-	_, err := c.rwc.Write(c.batch.B)
-	c.batch.B = c.batch.B[:0]
-	c.batchN = 0
-	if err != nil {
-		return err
-	}
-	c.stats.batchFlushes.Add(1)
-	c.stats.batchMessages.Add(int64(n))
-	return nil
-}
-
-// deadlineFlush runs on the flush timer when a partial batch has waited
-// flushAfter; a write error is latched for the next Send or Flush to report.
-func (c *Conn) deadlineFlush() {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	if err := c.flushLocked(); err != nil && c.flushErr == nil {
-		c.flushErr = err
-	}
 }
 
 // Recv reads the next data message into out (a pointer to a struct),

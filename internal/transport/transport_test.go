@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"sync"
 	"testing"
 
@@ -363,5 +364,55 @@ func TestPublishStats(t *testing.T) {
 	recv, _ := reg.Value("conn_rx_bytes_received")
 	if sent == 0 || sent != recv {
 		t.Errorf("bytes: sent %v received %v", sent, recv)
+	}
+}
+
+// discardRWC swallows writes; the send-path checks measure marshaling and
+// framing, not a peer.
+type discardRWC struct{}
+
+func (discardRWC) Read(p []byte) (int, error)  { return 0, io.EOF }
+func (discardRWC) Write(p []byte) (int, error) { return len(p), nil }
+func (discardRWC) Close() error                { return nil }
+
+// TestSendAllocs is the steady-state gate on the send path: once the format
+// is announced, Send marshals into a pooled frame and writes it with no
+// allocation.
+func TestSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector; the gate would measure that")
+	}
+	sctx, bind := senderContext(t, platform.X8664)
+	cs := NewConn(discardRWC{}, sctx)
+	in := SimpleData{Timestep: 7, Data: []float32{1, 2, 3, 4, 5, 6, 7, 8}}
+	for i := 0; i < 50; i++ {
+		if err := cs.Send(bind, &in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := cs.Send(bind, &in); err != nil {
+			t.Error(err)
+		}
+	}); n != 0 {
+		t.Errorf("Send steady state: %v allocs/op, want 0", n)
+	}
+}
+
+// BenchmarkSend measures the pooled send path; allocs/op is the headline
+// number (0 in steady state).
+func BenchmarkSend(b *testing.B) {
+	sctx, bind := senderContext(b, platform.X8664)
+	cs := NewConn(discardRWC{}, sctx)
+	in := SimpleData{Timestep: 7, Data: []float32{1, 2, 3, 4, 5, 6, 7, 8}}
+	if err := cs.Send(bind, &in); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cs.Send(bind, &in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
