@@ -301,8 +301,9 @@ func (ch *Channel) attachChild(c *Channel, feed *derivedSink) error {
 // ensureAnnounced makes f part of the channel's format table, registering it
 // with the broker's registrar on first sight, and returns the table length
 // to use as the event's format index.  The fast path is one lock-free map
-// read; formats are keyed by pointer because registered formats are
-// pointer-stable and computing a FormatID re-serialises the metadata.
+// read; formats are keyed by pointer because the publisher hands in the
+// same registered (pointer-stable, immutable) format on every publish, and
+// a pointer key needs nothing from the format itself.
 func (ch *Channel) ensureAnnounced(f *meta.Format) (int, error) {
 	if idx, ok := (*ch.announced.Load())[f]; ok {
 		return idx, nil

@@ -47,9 +47,10 @@ type view struct {
 
 	// plans maps an event's format to its projection onto the pinned
 	// version; a nil plan means pass through.  Formats are keyed by pointer
-	// for the reason Channel.announced is: registered formats are pointer-
-	// stable and computing a FormatID re-serialises the metadata.  Readers
-	// load the map lock-free; mu serialises the copy-on-write inserts.
+	// for the reason Channel.announced is: an event carries the publisher's
+	// registered format, which is pointer-stable and immutable, so the
+	// pointer names it without asking the format for its ID.  Readers load
+	// the map lock-free; mu serialises the copy-on-write inserts.
 	mu    sync.Mutex
 	plans atomic.Pointer[map[*meta.Format]*pbio.Projection]
 }

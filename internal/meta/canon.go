@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync/atomic"
+	"unsafe"
 )
 
 // FormatID is a stable 64-bit identifier derived from the canonical
@@ -65,11 +67,28 @@ func (f *Format) appendCanonical(buf []byte) []byte {
 }
 
 // ID returns the format's content-derived identifier (FNV-1a over the
-// canonical serialisation).
+// canonical serialisation).  The first call computes it and memoises it on
+// the format, so every later call — one per message header, one per
+// pinned-format check — is a load and a compare; this is why a Format must
+// not change once its ID has been taken.
 func (f *Format) ID() FormatID {
+	if m := (*idMemo)(atomic.LoadPointer(&f.id)); m != nil && m.of == f {
+		return m.id
+	}
 	h := fnv.New64a()
 	h.Write(f.Canonical())
-	return FormatID(h.Sum64())
+	id := FormatID(h.Sum64())
+	atomic.StorePointer(&f.id, unsafe.Pointer(&idMemo{of: f, id: id}))
+	return id
+}
+
+// idMemo is a computed ID and the format it belongs to.  A by-value copy of
+// a Format carries the original's memo, whose owner is not the copy, so the
+// copy computes (and memoises) its own ID: copying a format and changing
+// the copy is how callers derive a new format from an old one.
+type idMemo struct {
+	of *Format
+	id FormatID
 }
 
 // ParseCanonical reconstructs a Format from its canonical serialisation.

@@ -17,6 +17,7 @@ package meta
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Kind classifies the value stored in a field.
@@ -129,6 +130,12 @@ func (f *Field) SlotSize(ptrSize int) int {
 }
 
 // Format describes a complete message format.
+//
+// A Format is immutable once its ID has been taken, which registering it
+// anywhere does: the ID is memoised on the format, and contexts, channels
+// and views key registered formats by pointer.  To describe a different
+// layout, build a new Format — a by-value copy may be changed freely, since
+// it computes its own ID.
 type Format struct {
 	// Name is the format (message type) name.
 	Name string
@@ -145,6 +152,12 @@ type Format struct {
 	// Platform records the name of the platform whose ABI determined
 	// the layout (informational).
 	Platform string
+
+	// id is the memoised ID, an *idMemo read and written atomically (see
+	// ID).  It is a bare unsafe.Pointer rather than an atomic.Pointer
+	// because formats are copied by value, and atomic.Pointer's noCopy
+	// marker would make go vet reject every such copy.
+	id unsafe.Pointer
 }
 
 // FieldByName returns the index of the field with the given name

@@ -14,8 +14,9 @@ import (
 // copy when the wire order is the host's, one 8-element block swap loop
 // otherwise — the paper's "receiver makes right" at memory speed.  Only the
 // Go-typed side is viewed through unsafe, and it is always aligned; the
-// wire side stays []byte and assumes no alignment.  This is the only file
-// in the module's internal packages that imports unsafe.
+// wire side stays []byte and assumes no alignment.  Apart from
+// internal/meta's format-ID memo (an untyped atomic pointer), this is the
+// only code in the module's internal packages that imports unsafe.
 
 // hostBig reports whether this host stores multi-byte values big-endian.
 var hostBig = binary.NativeEndian.Uint16([]byte{0, 1}) == 1

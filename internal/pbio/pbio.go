@@ -77,9 +77,10 @@ type bindKey struct {
 	t  reflect.Type
 }
 
-// planKey keys decode plans by format pointer rather than format ID:
-// registered formats are pointer-stable, and computing an ID re-serialises
-// the metadata — far too costly (and allocating) for a per-message lookup.
+// planKey keys decode plans by format pointer rather than format ID: a plan
+// is compiled against one Format value, registered formats are
+// pointer-stable and immutable, and the pointer is at hand on every decode
+// without asking the format for anything.
 type planKey struct {
 	f *meta.Format
 	t reflect.Type
@@ -132,8 +133,9 @@ func (c *Context) RegisterFormat(f *meta.Format) (meta.FormatID, error) {
 		return 0, err
 	}
 	// The canonical serialisation both fixes the format identity and is
-	// what travels to peers and format servers; computing it here makes
-	// registration cost what the paper measures.
+	// what travels to peers and format servers.  Its hash is computed once
+	// per format, the first time any context registers it, and memoised on
+	// the format; the format is immutable from here on.
 	id := f.ID()
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -338,3 +338,87 @@ func TestProjectionCollapsesToOneCopy(t *testing.T) {
 		t.Errorf("cross-endian plan %+v, want three conversions and the char copy", p.steps)
 	}
 }
+
+// TestRecordFieldTable covers how a record addresses its values: by field
+// position, reached from a case-insensitive name.
+func TestRecordFieldTable(t *testing.T) {
+	c, _ := recordContext(t)
+	f, _ := c.RegisterFields("M", []IOField{
+		{Name: "Count", Type: "integer"},
+		{Name: "label", Type: "string"},
+	})
+	g, _ := c.RegisterFields("P", []IOField{{Name: "x", Type: "double"}})
+	h, _ := c.RegisterFields("HasP", []IOField{{Name: "p", Type: "P"}})
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"set then get ignores case", func(t *testing.T) {
+			r := NewRecord(f)
+			must(t, r.Set("COUNT", 7))
+			for _, n := range []string{"count", "Count", "cOuNt"} {
+				if v, ok := r.Get(n); !ok || v.(int64) != 7 {
+					t.Errorf("Get(%q) = %v, %v; want 7, true", n, v, ok)
+				}
+			}
+			must(t, r.Set("count", 8)) // same field, replaced
+			if v, _ := r.Get("Count"); v.(int64) != 8 {
+				t.Errorf("after second Set: %v, want 8", v)
+			}
+		}},
+		{"unset and unknown fields", func(t *testing.T) {
+			r := NewRecord(f)
+			must(t, r.Set("count", 1))
+			for _, n := range []string{"label", "nope"} {
+				if v, ok := r.Get(n); ok || v != nil {
+					t.Errorf("Get(%q) = %v, %v; want nil, false", n, v, ok)
+				}
+			}
+		}},
+		{"nested set checks the sub-format", func(t *testing.T) {
+			r := NewRecord(h)
+			if err := r.Set("p", NewRecord(f)); err == nil {
+				t.Error("nested record of the wrong format was accepted")
+			}
+			if _, ok := r.Get("p"); ok {
+				t.Error("a rejected Set left a value behind")
+			}
+			must(t, r.Set("P", NewRecord(g)))
+			if v, ok := r.Get("p"); !ok || v.(*Record).Format() != g {
+				t.Errorf("Get(p) = %v, %v", v, ok)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// TestRecordDecodeAllocs gates what decoding a small record costs in heap
+// allocations: the record, its value table, and one per boxed value.
+func TestRecordDecodeAllocs(t *testing.T) {
+	c, _ := recordContext(t)
+	f, _ := c.RegisterFields("Metric", []IOField{
+		{Name: "seq", Type: "unsigned integer"},
+		{Name: "sum", Type: "integer"},
+		{Name: "value", Type: "double"},
+		{Name: "tag", Type: "string"},
+	})
+	r := NewRecord(f)
+	must(t, r.Set("seq", 100000))
+	must(t, r.Set("sum", -100000))
+	must(t, r.Set("value", 2.5))
+	must(t, r.Set("tag", "metric"))
+	body, err := c.EncodeRecordBody(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 7
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := c.DecodeRecordBody(f, body); err != nil {
+			t.Error(err)
+		}
+	}); n > want {
+		t.Errorf("DecodeRecordBody: %v allocs/op, want at most %d", n, want)
+	}
+}
