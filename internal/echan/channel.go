@@ -143,7 +143,6 @@ type Channel struct {
 	name    string
 	qlen    int
 	retainN int
-	batchN  int
 	oob     bool
 	parent  *Channel
 	filter  *Filter
@@ -210,20 +209,6 @@ func WithRetain(n int) ChannelOption {
 	}
 }
 
-// WithWriteBatch caps how many queued events a subscription's writer
-// coalesces into one vectored sink write (default: the subscription's queue
-// length — drain everything ready).  1 restores the one-Write-per-event
-// delivery path; the only reason to set it is measuring what batching buys
-// (the writev bench figure) or bounding the latency of the first event in a
-// deep queue on very slow links.
-func WithWriteBatch(n int) ChannelOption {
-	return func(ch *Channel) {
-		if n > 0 {
-			ch.batchN = n
-		}
-	}
-}
-
 // WithOutOfBand makes the channel distribute metadata out-of-band: no format
 // announcement frames are written to subscribers, who must resolve format
 // IDs through their own resolver (the fmtserver/discovery path).  Pair it
@@ -244,9 +229,6 @@ func newChannel(b *Broker, name string, opts ...ChannelOption) *Channel {
 	}
 	for _, o := range opts {
 		o(ch)
-	}
-	if ch.batchN <= 0 {
-		ch.batchN = ch.qlen
 	}
 	if ch.retainN > 0 {
 		ch.ret = make([]*event, ch.retainN)
@@ -587,16 +569,13 @@ func (ch *Channel) SubscribeSink(snk Sink, policy Policy, opts ...SubOption) (*S
 	for _, o := range opts {
 		o(s)
 	}
-	// Delivery scratch, sized once so the batched drain never allocates:
-	// a delivery is capped at cap(s.batch) events even if the ring is later
+	// Delivery scratch, sized once to the queue length so the batched drain
+	// — everything ready, as one vectored write — never allocates: a
+	// delivery is capped at cap(s.batch) events even if the ring is later
 	// grown for a resume replay.
-	batchN := ch.batchN
-	if batchN > len(s.ring) {
-		batchN = len(s.ring)
-	}
-	s.batch = make([]*event, 0, batchN)
-	s.gens = make([]uint64, 0, batchN)
-	s.frames = make([][]byte, 0, batchN)
+	s.batch = make([]*event, 0, len(s.ring))
+	s.gens = make([]uint64, 0, len(s.ring))
+	s.frames = make([][]byte, 0, len(s.ring))
 	ch.mu.Lock()
 	if ch.closed.Load() {
 		ch.mu.Unlock()

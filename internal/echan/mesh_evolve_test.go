@@ -293,3 +293,71 @@ func TestMeshEvolutionSoak(t *testing.T) {
 		}
 	}
 }
+
+// TestMeshRemotePinnedProjectsOnce: v1-pinned subscribers attached through
+// a remote broker share one projection per event, and it runs on that
+// remote broker.  The home ships the head-format event once over the link
+// and projects nothing; the remote projects each event exactly once for
+// all of its pinned subscribers.  No fault injection: the counts are exact.
+func TestMeshRemotePinnedProjectsOnce(t *testing.T) {
+	const n, pinned = 200, 3
+	_, addrA, regA, srA := evolveMeshServer(t, n+8)
+	mB, addrB, regB, _ := evolveMeshServer(t, n+8)
+	mB.AddPeer(addrA)
+
+	ctl, err := DialControl(addrA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	if err := ctl.Create("pinonce"); err != nil {
+		t.Fatal(err)
+	}
+	chain := evolveChain(t, 2)
+	if _, err := srA.Register("pinonce", chain[0], "seed"); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan evolveRecv, pinned)
+	for i := 0; i < pinned; i++ {
+		sc, err := DialSubscriberVersion(addrB, "pinonce", Block, 256, 1, pbio.NewContext())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		go recvEvolvedWire(t, sc, "B(pin)", n, chain[0].ID(), done)
+	}
+
+	pub, err := DialPublisherConn(addrA, "pinonce", pbio.NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	for i := 1; i <= n; i++ {
+		rec := pbio.NewRecord(chain[1])
+		if err := rec.Set("seq", uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.SendRecord(rec); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
+	}
+	deadline := time.After(30 * time.Second)
+	for i := 0; i < pinned; i++ {
+		select {
+		case r := <-done:
+			if r.count != n || r.first != 1 || r.last != uint64(n) {
+				t.Errorf("pinned got %d events (%d..%d), want %d (1..%d)", r.count, r.first, r.last, n, n)
+			}
+		case <-deadline:
+			t.Fatal("timed out waiting for the pinned subscribers")
+		}
+	}
+
+	if v, _ := regB.Value("echan_pinonce_view_projected_total"); v != n {
+		t.Errorf("projections on the remote = %v, want %d (one per event, shared by %d pinned subscribers)", v, n, pinned)
+	}
+	if v, ok := regA.Value("echan_pinonce_view_projected_total"); !ok || v != 0 {
+		t.Errorf("projections on the home = %v (registered %v), want 0 (the view is the subscriber's broker's job)", v, ok)
+	}
+}

@@ -37,9 +37,10 @@ func (l *lockedBuf) snapshot() []byte {
 
 // TestWriteBatchSingleEquivalence pins the batched drain's wire contract:
 // a channel draining whole ready runs per write emits a byte stream
-// identical to WithWriteBatch(1), the one-Write-per-event baseline — same
-// announcements, same frames, same order.  Only the syscall grouping may
-// differ.
+// identical to one-Write-per-event delivery — same announcements, same
+// frames, same order.  Only the syscall grouping may differ.  The
+// per-event reference publishes one event and waits for its delivery
+// (Sync) before the next, so every drain it sees is a run of one.
 func TestWriteBatchSingleEquivalence(t *testing.T) {
 	const events = 300
 	b := NewBroker(WithRegistry(obs.NewRegistry()))
@@ -49,7 +50,7 @@ func TestWriteBatchSingleEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := b.Create("wb_single", WithQueue(64), WithWriteBatch(1))
+	single, err := b.Create("wb_single", WithQueue(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +71,9 @@ func TestWriteBatchSingleEquivalence(t *testing.T) {
 		if err := single.Publish(bind, ev); err != nil {
 			t.Fatal(err)
 		}
+		single.Sync()
 	}
 	batched.Sync()
-	single.Sync()
 
 	got, want := bSink.snapshot(), sSink.snapshot()
 	if !bytes.Equal(got, want) {
@@ -82,6 +83,70 @@ func TestWriteBatchSingleEquivalence(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("no bytes delivered")
 	}
+	// The reference really was unbatched: at least one write per event.
+	if w, _ := b.reg.Value("echan_wb_single_sink_writes_total"); w < events {
+		t.Errorf("per-event reference: %v sink writes for %d events", w, events)
+	}
+}
+
+// TestBatchedDrainUnixSockets runs the batched drain against real sockets:
+// subscribers on unix-domain connections (the same-host lane echod's -unix
+// serves) under Block, fed a burst.  Every event reaches every subscriber,
+// and the drain never costs more than one sink write per delivered event.
+func TestBatchedDrainUnixSockets(t *testing.T) {
+	const subscribers, events = 8, 2000
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "b.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Closing the broker closes the server ends; the readers then see EOF.
+	var drains sync.WaitGroup
+	defer drains.Wait()
+	b := NewBroker(WithRegistry(obs.NewRegistry()))
+	defer b.Close()
+	ch, err := b.Create("unixburst", WithQueue(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < subscribers; i++ {
+		client, err := net.Dial("unix", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err := ln.Accept()
+		if err != nil {
+			client.Close()
+			t.Fatal(err)
+		}
+		drains.Add(1)
+		go func() {
+			defer drains.Done()
+			io.Copy(io.Discard, client)
+			client.Close()
+		}()
+		if _, err := ch.Subscribe(server, Block); err != nil {
+			server.Close() // not the broker's yet: release the reader here
+			t.Fatal(err)
+		}
+	}
+	_, bind := eventBinding(t, platform.X8664)
+	for i := 0; i < events; i++ {
+		if err := ch.Publish(bind, &Event{Seq: int32(i), Temp: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ch.Sync()
+
+	delivered, _ := b.reg.Value("echan_unixburst_delivered_total")
+	writes, _ := b.reg.Value("echan_unixburst_sink_writes_total")
+	if delivered != subscribers*events {
+		t.Fatalf("delivered %v, want %d", delivered, subscribers*events)
+	}
+	if writes <= 0 || writes > delivered {
+		t.Errorf("%v sink writes for %v deliveries, want at most one per delivery", writes, delivered)
+	}
+	t.Logf("%.3f sink writes per delivered event", writes/delivered)
 }
 
 // TestBatchedDrainChaosSoak subjects the vectored drain to torn links: a
