@@ -4,381 +4,89 @@
 //
 //	go test -bench=. -benchmem
 //
-// The same experiments, measured with the harness's own timer and printed
-// as the paper's tables, are available via `go run ./cmd/xmitbench`.
+// Each family runs the operations internal/bench builds for its figure, the
+// same ones `go run ./cmd/xmitbench` times as the paper's tables and
+// internal/bench's TestPaperClaims checks the paper's shapes against.
 package xmit_test
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"github.com/open-metadata/xmit/internal/bench"
-	"github.com/open-metadata/xmit/internal/cdr"
-	"github.com/open-metadata/xmit/internal/core"
 	"github.com/open-metadata/xmit/internal/hydro"
-	"github.com/open-metadata/xmit/internal/meta"
-	"github.com/open-metadata/xmit/internal/mpidt"
-	"github.com/open-metadata/xmit/internal/pbio"
-	"github.com/open-metadata/xmit/internal/xdr"
-	"github.com/open-metadata/xmit/internal/xmlwire"
 )
 
-// ---- Figure 3: registration cost, proof-of-concept structures -------------
-
-func BenchmarkFig3Registration(b *testing.B) {
-	for _, w := range bench.PocWorkloads() {
-		w := w
-		schema, err := w.SchemaFor(bench.Paper)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(w.Name+"/PBIO", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx := pbio.NewContext(pbio.WithPlatform(bench.Paper))
-				for _, fs := range w.FieldSets {
-					if _, err := ctx.RegisterFields(fs.Name, fs.Fields); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(w.Name+"/XMIT", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tk := core.NewToolkit()
-				if _, err := tk.LoadString(schema); err != nil {
-					b.Fatal(err)
-				}
-				ctx := pbio.NewContext(pbio.WithPlatform(bench.Paper))
-				if _, err := tk.Register(w.Name, ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- Figure 6: registration cost, Hydrology application formats -----------
-
-func BenchmarkFig6Registration(b *testing.B) {
-	ws, err := bench.HydroWorkloads()
+// runRows fails on a fixture error, then runs every op of every row as a
+// sub-benchmark under the op's name.
+func runRows(b *testing.B, rows [][]bench.Op, err error) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range ws {
-		w := w
-		b.Run(w.Name+"/PBIO", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx := pbio.NewContext(pbio.WithPlatform(bench.Paper))
-				for _, fs := range w.FieldSets {
-					if _, err := ctx.RegisterFields(fs.Name, fs.Fields); err != nil {
+	for _, ops := range rows {
+		for _, op := range ops {
+			b.Run(op.Name, func(b *testing.B) {
+				b.SetBytes(int64(op.Bytes))
+				for i := 0; i < b.N; i++ {
+					if err := op.Run(); err != nil {
 						b.Fatal(err)
 					}
 				}
-			}
-		})
-		b.Run(w.Name+"/XMIT", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tk := core.NewToolkit()
-				if _, err := tk.LoadString(w.Schema); err != nil {
-					b.Fatal(err)
-				}
-				ctx := pbio.NewContext(pbio.WithPlatform(bench.Paper))
-				if _, err := tk.Register(w.Name, ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
+}
+
+// ---- Figures 3 and 6: registration cost, PBIO vs XMIT ---------------------
+
+func BenchmarkFig3Registration(b *testing.B) {
+	rows, err := bench.Fig3Ops()
+	runRows(b, rows, err)
+}
+
+func BenchmarkFig6Registration(b *testing.B) {
+	rows, err := bench.Fig6Ops()
+	runRows(b, rows, err)
 }
 
 // ---- Figure 7: marshal time, native vs XMIT-generated metadata ------------
 
 func BenchmarkFig7Encode(b *testing.B) {
-	ws, err := bench.HydroWorkloads()
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := bench.HydroSamples()
-	for _, w := range ws {
-		sample := samples[w.Name]
-		nativeCtx, nativeFmt, err := w.BuildFormats(bench.Paper)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nb, err := nativeCtx.Bind(nativeFmt, sample)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tk := core.NewToolkit()
-		if _, err := tk.LoadString(w.Schema); err != nil {
-			b.Fatal(err)
-		}
-		xmitCtx := pbio.NewContext(pbio.WithPlatform(bench.Paper))
-		tok, err := tk.Register(w.Name, xmitCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xb, err := xmitCtx.Bind(tok.Format, sample)
-		if err != nil {
-			b.Fatal(err)
-		}
-		size, _ := nb.EncodedSize(sample)
-		buf := make([]byte, 0, size+64)
-		b.Run(w.Name+"/NativeMetadata", func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if buf, err = nb.EncodeBody(buf[:0], sample); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(w.Name+"/XMITMetadata", func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if buf, err = xb.EncodeBody(buf[:0], sample); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	rows, err := bench.Fig7Ops()
+	runRows(b, rows, err)
 }
 
-// ---- Figure 8: send-side encode times by mechanism and size ---------------
-
-func fig8Fixtures(b *testing.B, size int) (payload *bench.Payload,
-	pb *pbio.Binding, mpiType *mpidt.Datatype, mem []byte,
-	cdrC *cdr.Codec, xdrC *xdr.Codec, xmlC *xmlwire.Codec) {
-	b.Helper()
-	payload, err := bench.NewPayload(size)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := pbio.NewContext(pbio.WithPlatform(bench.Paper))
-	dynFmt, err := ctx.RegisterFields("Payload", bench.PayloadFields())
-	if err != nil {
-		b.Fatal(err)
-	}
-	statFmt, err := ctx.RegisterFields("PayloadStatic", bench.StaticPayloadFields(len(payload.Values)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if pb, err = ctx.Bind(dynFmt, payload); err != nil {
-		b.Fatal(err)
-	}
-	if mpiType, err = mpidt.FromFormat(statFmt); err != nil {
-		b.Fatal(err)
-	}
-	sb, err := ctx.Bind(statFmt, payload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if mem, err = sb.EncodeBody(nil, payload); err != nil {
-		b.Fatal(err)
-	}
-	if cdrC, err = cdr.NewCodec(dynFmt, payload); err != nil {
-		b.Fatal(err)
-	}
-	if xdrC, err = xdr.NewCodec(dynFmt, payload); err != nil {
-		b.Fatal(err)
-	}
-	if xmlC, err = xmlwire.NewCodec(dynFmt, payload); err != nil {
-		b.Fatal(err)
-	}
-	return
-}
+// ---- Figure 8: encode and decode times by mechanism and size --------------
 
 func BenchmarkFig8Encode(b *testing.B) {
-	for _, size := range bench.PayloadSizes {
-		payload, pb, mpiType, mem, cdrC, xdrC, xmlC := fig8Fixtures(b, size)
-		buf := make([]byte, 0, size*12)
-		var err error
-		name := func(mech string) string {
-			return mech + "/" + sizeName(size)
-		}
-		b.Run(name("PBIO"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if buf, err = pb.EncodeBody(buf[:0], payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name("MPI"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if buf, err = mpidt.Pack(mem, binary.BigEndian, 1, mpiType, buf[:0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name("CDR"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if buf, err = cdrC.Encode(buf[:0], payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name("XDR"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if buf, err = xdrC.Encode(buf[:0], payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name("XML"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if buf, err = xmlC.Encode(buf[:0], payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cases, err := bench.Fig8Cases()
+	rows := make([][]bench.Op, len(cases))
+	for i, c := range cases {
+		rows[i] = c.Encode
 	}
+	runRows(b, rows, err)
 }
 
 // BenchmarkFig8Decode extends Figure 8 to the receive side, where the
 // paper's §4.1 "2-4 orders of magnitude" claim about XML lives: text
 // parsing is far costlier than text generation.
 func BenchmarkFig8Decode(b *testing.B) {
-	for _, size := range bench.PayloadSizes {
-		payload, pb, mpiType, mem, cdrC, xdrC, xmlC := fig8Fixtures(b, size)
-		ctx := pbio.NewContext(pbio.WithPlatform(bench.Paper))
-		if _, err := ctx.RegisterFormat(pb.Format()); err != nil {
-			b.Fatal(err)
-		}
-		pbioMsg, err := pb.EncodeBody(nil, payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mpiMsg, err := mpidt.Pack(mem, binary.BigEndian, 1, mpiType, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cdrMsg, _ := cdrC.Encode(nil, payload)
-		xdrMsg, _ := xdrC.Encode(nil, payload)
-		xmlMsg, _ := xmlC.Encode(nil, payload)
-		var out bench.Payload
-		memOut := make([]byte, len(mem))
-		name := func(mech string) string { return mech + "/" + sizeName(size) }
-		b.Run(name("PBIO"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if err := ctx.DecodeBody(pb.Format(), pbioMsg, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name("MPI"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if err := mpidt.Unpack(mpiMsg, memOut, binary.BigEndian, 1, mpiType); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name("CDR"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if err := cdrC.Decode(cdrMsg, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name("XDR"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if err := xdrC.Decode(xdrMsg, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name("XML"), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if err := xmlC.Decode(xmlMsg, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cases, err := bench.Fig8Cases()
+	rows := make([][]bench.Op, len(cases))
+	for i, c := range cases {
+		rows[i] = c.Decode
 	}
-}
-
-func sizeName(size int) string {
-	switch size {
-	case 100:
-		return "100B"
-	case 1000:
-		return "1KB"
-	case 10000:
-		return "10KB"
-	case 100000:
-		return "100KB"
-	}
-	return "other"
+	runRows(b, rows, err)
 }
 
 // ---- Figure 1: the SimpleData exchange, binary vs XML wire ----------------
-
-func fig1Fixtures(b *testing.B) (*hydro.SimpleData, *pbio.Context, *meta.Format, *pbio.Binding, *xmlwire.Codec) {
-	b.Helper()
-	ctx := pbio.NewContext(pbio.WithPlatform(bench.Paper))
-	f, err := ctx.RegisterFields("SimpleData", []pbio.IOField{
-		{Name: "timestep", Type: "integer"},
-		{Name: "size", Type: "integer"},
-		{Name: "data", Type: "float[size]"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := &hydro.SimpleData{Timestep: 9999, Data: make([]float32, 3355)}
-	for i := range msg.Data {
-		msg.Data[i] = 12.345
-	}
-	pb, err := ctx.Bind(f, msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xc, err := xmlwire.NewCodec(f, msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return msg, ctx, f, pb, xc
-}
 
 // BenchmarkFig1Exchange measures the processing cost of one full exchange
 // (sender encode + receiver decode) for each wire format; with wire time
 // added at 100 Mb/s, this is the latency comparison behind Figure 1's "XML
 // messages are 3 times larger ... twice the latency" discussion.
 func BenchmarkFig1Exchange(b *testing.B) {
-	msg, ctx, f, pb, xc := fig1Fixtures(b)
-	b.Run("BinaryXMIT", func(b *testing.B) {
-		var out hydro.SimpleData
-		var buf []byte
-		var err error
-		for i := 0; i < b.N; i++ {
-			if buf, err = pb.EncodeBody(buf[:0], msg); err != nil {
-				b.Fatal(err)
-			}
-			if err = ctx.DecodeBody(f, buf, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("XMLWire", func(b *testing.B) {
-		var out hydro.SimpleData
-		var buf []byte
-		var err error
-		for i := 0; i < b.N; i++ {
-			if buf, err = xc.Encode(buf[:0], msg); err != nil {
-				b.Fatal(err)
-			}
-			if err = xc.Decode(buf, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	ops, _, _, err := bench.Fig1Ops()
+	runRows(b, [][]bench.Op{ops}, err)
 }
 
 // ---- Application-level benchmark: the Hydrology pipeline ------------------

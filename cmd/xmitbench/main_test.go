@@ -20,6 +20,20 @@ func TestFiguresQuick(t *testing.T) {
 	}
 }
 
+// TestFig8PrintsDecode: -fig 8 prints the receive-side table as well as
+// the encode table, since the §4.1 claim about XML lives on decode.
+func TestFig8PrintsDecode(t *testing.T) {
+	var out strings.Builder
+	if err := run("8", bench.QuickOptions(), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"send-side encode times", "decode times", "XML/PBIO"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-fig 8 output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestUnknownFigure: a name that is not a figure fails before any figure
 // runs, alone or beside known names.
 func TestUnknownFigure(t *testing.T) {

@@ -47,53 +47,47 @@ func AblationRegistrationStages(o Options) ([]StageRow, error) {
 				return nil, err
 			}
 		}
-		row := StageRow{Name: w.Name}
 		data := []byte(schema)
-		if row.ParseFastNs, err = timeOp(o, func() error {
-			_, err := dom.ParseBytes(data)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if row.ParseStdNs, err = timeOp(o, func() error {
-			_, err := dom.ParseStdString(schema)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if row.StreamNs, err = timeOp(o, func() error {
-			_, err := xsd.ParseBytes(data)
-			return err
-		}); err != nil {
-			return nil, err
-		}
 		tk := core.NewToolkit()
 		if _, err := tk.LoadString(schema); err != nil {
-			return nil, err
-		}
-		if row.TranslateNs, err = timeOp(o, func() error {
-			_, err := tk.GenerateFormat(w.Name, Paper)
-			return err
-		}); err != nil {
 			return nil, err
 		}
 		f, err := tk.GenerateFormat(w.Name, Paper)
 		if err != nil {
 			return nil, err
 		}
-		// A first-sight registration: each iteration registers a by-value
-		// copy of the generated format, which does not inherit the
-		// original's memoised ID, so every iteration pays for the
-		// canonical serialisation and its hash.
-		if row.RegisterNs, err = timeOp(o, func() error {
-			fresh := *f
-			ctx := pbio.NewContext(pbio.WithPlatform(Paper))
-			_, err := ctx.RegisterFormat(&fresh)
-			return err
-		}); err != nil {
+		t, err := measure(o, []Op{
+			{Name: "tree-fast", Run: func() error {
+				_, err := dom.ParseBytes(data)
+				return err
+			}},
+			{Name: "tree-std", Run: func() error {
+				_, err := dom.ParseStdString(schema)
+				return err
+			}},
+			{Name: "xsd-stream", Run: func() error {
+				_, err := xsd.ParseBytes(data)
+				return err
+			}},
+			{Name: "translate", Run: func() error {
+				_, err := tk.GenerateFormat(w.Name, Paper)
+				return err
+			}},
+			// A first-sight registration: each call registers a by-value
+			// copy of the generated format, which does not inherit the
+			// original's memoised ID, so every call pays for the canonical
+			// serialisation and its hash.
+			{Name: "register", Run: func() error {
+				fresh := *f
+				_, err := pbio.NewContext(pbio.WithPlatform(Paper)).RegisterFormat(&fresh)
+				return err
+			}},
+		})
+		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, StageRow{Name: w.Name, ParseFastNs: t.Ns(0), ParseStdNs: t.Ns(1),
+			StreamNs: t.Ns(2), TranslateNs: t.Ns(3), RegisterNs: t.Ns(4)})
 	}
 	return rows, nil
 }
@@ -117,8 +111,8 @@ func AblationConversion(o Options) ([]ConvRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := ConvRow{PayloadBytes: size}
-		for i, p := range []*platform.Platform{platform.X8664, platform.Sparc32} {
+		var ops []Op
+		for _, p := range []*platform.Platform{platform.X8664, platform.Sparc32} {
 			ctx := pbio.NewContext(pbio.WithPlatform(p))
 			f, err := ctx.RegisterFields("Payload", PayloadFields())
 			if err != nil {
@@ -133,20 +127,14 @@ func AblationConversion(o Options) ([]ConvRow, error) {
 				return nil, err
 			}
 			var out Payload
-			ns, err := timeOp(o, func() error {
-				return ctx.DecodeBody(f, body, &out)
-			})
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				row.HomogeneousNs = ns
-			} else {
-				row.HeterogeneousNs = ns
-			}
+			ops = append(ops, Op{Name: p.Name, Run: func() error { return ctx.DecodeBody(f, body, &out) }})
 		}
-		row.SwapPenalty = row.HeterogeneousNs / row.HomogeneousNs
-		rows = append(rows, row)
+		t, err := measure(o, ops)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, ConvRow{PayloadBytes: size, HomogeneousNs: t.Ns(0),
+			HeterogeneousNs: t.Ns(1), SwapPenalty: t.Ratio(1, 0)})
 	}
 	return rows, nil
 }
@@ -195,22 +183,21 @@ func AblationFastPaths(o Options) ([]FastPathRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf := make([]byte, 0, size+64)
-		row := FastPathRow{PayloadBytes: size}
-		if row.FastNs, err = timeOp(o, func() error {
-			_, err := fb.EncodeBody(buf[:0], payload)
-			return err
-		}); err != nil {
+		var buf []byte
+		t, err := measure(o, []Op{
+			{Name: "block-move", Run: func() (err error) {
+				buf, err = fb.EncodeBody(buf[:0], payload)
+				return err
+			}},
+			{Name: "reflect-loop", Run: func() (err error) {
+				buf, err = gb.EncodeBody(buf[:0], gp)
+				return err
+			}},
+		})
+		if err != nil {
 			return nil, err
 		}
-		if row.GenericNs, err = timeOp(o, func() error {
-			_, err := gb.EncodeBody(buf[:0], gp)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		row.Speedup = row.GenericNs / row.FastNs
-		rows = append(rows, row)
+		rows = append(rows, FastPathRow{PayloadBytes: size, FastNs: t.Ns(0), GenericNs: t.Ns(1), Speedup: t.Ratio(1, 0)})
 	}
 	return rows, nil
 }
@@ -240,9 +227,3 @@ func PrintAblations(w io.Writer, stages []StageRow, conv []ConvRow, fast []FastP
 			r.PayloadBytes, ms(r.FastNs), ms(r.GenericNs), r.Speedup)
 	}
 }
-
-// ablationNames guards against accidental drift between docs and code.
-var ablationNames = []string{"registration-stages", "conversion", "fast-paths"}
-
-// AblationNames lists the ablation identifiers.
-func AblationNames() []string { return append([]string(nil), ablationNames...) }

@@ -29,10 +29,10 @@ func (discardRWC) Read(p []byte) (int, error)  { return 0, io.EOF }
 func (discardRWC) Write(p []byte) (int, error) { return len(p), nil }
 func (discardRWC) Close() error                { return nil }
 
-// measureAlloc appends one row combining timeOp timing with
+// measureAlloc appends one row combining measure's timing with
 // testing.AllocsPerRun (which is usable outside a test binary).
 func measureAlloc(o Options, rows *[]AllocRow, workload, op string, fn func() error) error {
-	ns, err := timeOp(o, fn)
+	t, err := measure(o, []Op{{Name: workload + "/" + op, Run: fn}})
 	if err != nil {
 		return err
 	}
@@ -45,7 +45,7 @@ func measureAlloc(o Options, rows *[]AllocRow, workload, op string, fn func() er
 	if innerErr != nil {
 		return innerErr
 	}
-	*rows = append(*rows, AllocRow{Workload: workload, Op: op, NsPerOp: ns, AllocsPerOp: allocs})
+	*rows = append(*rows, AllocRow{Workload: workload, Op: op, NsPerOp: t.Ns(0), AllocsPerOp: allocs})
 	return nil
 }
 

@@ -19,36 +19,33 @@ type AmortRow struct {
 	ShareAt1000 float64
 }
 
-// Amortization derives the break-even points from the Figure 6 and
-// Figure 7 measurements.
+// Amortization times each Hydrology format's two registrations (Figure 6)
+// and its native encode (Figure 7) in one row, and prices XMIT's surcharge
+// in messages as the per-round ratio XMIT/encode less PBIO/encode: a slow
+// spell of the host stretches all three operations of a round alike, so
+// it cancels instead of landing on one side of the difference.
 func Amortization(o Options) ([]AmortRow, error) {
-	reg, err := Fig6(o)
+	ws, err := HydroWorkloads()
 	if err != nil {
 		return nil, err
-	}
-	enc, err := Fig7(o)
-	if err != nil {
-		return nil, err
-	}
-	encBy := map[string]float64{}
-	for _, r := range enc {
-		encBy[r.Name] = r.NativeNs
 	}
 	var rows []AmortRow
-	for _, r := range reg {
-		row := AmortRow{
-			Name:       r.Name,
-			ExtraRegNs: r.XMITNs - r.PBIONs,
-			EncodeNs:   encBy[r.Name],
+	for _, w := range ws {
+		reg, err := regOps(w)
+		if err != nil {
+			return nil, err
 		}
-		if row.EncodeNs > 0 {
-			row.BreakEvenAt = row.ExtraRegNs / row.EncodeNs
+		enc, err := encOps(w)
+		if err != nil {
+			return nil, err
 		}
-		total := row.ExtraRegNs + 1000*row.EncodeNs
-		if total > 0 {
-			row.ShareAt1000 = row.ExtraRegNs / total
+		t, err := measure(o, append(reg, enc[0]))
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		be := t.Ratio(1, 2) - t.Ratio(0, 2)
+		rows = append(rows, AmortRow{Name: w.Name, ExtraRegNs: be * t.Ns(2), EncodeNs: t.Ns(2),
+			BreakEvenAt: be, ShareAt1000: be / (be + 1000)})
 	}
 	return rows, nil
 }

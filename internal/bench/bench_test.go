@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"github.com/open-metadata/xmit/internal/core"
+	"github.com/open-metadata/xmit/internal/pbio"
 )
 
 // TestPocSizesMatchPaper pins the proof-of-concept workloads to Figure 3's
@@ -38,46 +41,38 @@ func TestPocSizesMatchPaper(t *testing.T) {
 	}
 }
 
-// TestSchemaEquivalence: the XML document derived for each workload
-// translates back to a byte-identical format — the two registration paths
-// measured by Fig3/Fig6 really do register the same thing.
+// TestSchemaEquivalence: the XML document each workload's XMIT path
+// parses translates to a format byte-identical to its compiled-in one — the
+// two registration paths measured by Fig3/Fig6 really do register the same
+// thing.
 func TestSchemaEquivalence(t *testing.T) {
-	ws := PocWorkloads()
 	hw, err := HydroWorkloads()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws = append(ws, hw...)
-	for _, w := range ws {
-		row, err := runRegWorkload(QuickOptions(), w, nil)
+	for _, w := range append(PocWorkloads(), hw...) {
+		_, native, err := w.BuildFormats(Paper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schema := w.Schema
+		if schema == "" {
+			if schema, err = w.SchemaFor(Paper); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tk := core.NewToolkit()
+		if _, err := tk.LoadString(schema); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		tok, err := tk.Register(w.Name, pbio.NewContext(pbio.WithPlatform(Paper)))
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		if row.PBIONs <= 0 || row.XMITNs <= 0 {
-			t.Errorf("%s: non-positive timings %+v", w.Name, row)
+		if tok.Format.ID() != native.ID() {
+			t.Errorf("%s: XMIT format %v differs from the compiled-in %v", w.Name, tok.Format.ID(), native.ID())
 		}
 	}
-	// Explicit identity check for one nested case.
-	w := ws[2] // Poc180
-	_, nativeFmt, err := w.BuildFormats(Paper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema, err := w.SchemaFor(Paper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(schema, "PocMid") {
-		t.Fatalf("nested schema missing dependency:\n%s", schema)
-	}
-	row2, err := Fig3(QuickOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(row2) != 3 {
-		t.Fatalf("Fig3 rows = %d", len(row2))
-	}
-	_ = nativeFmt
 }
 
 func TestIOFieldsFromFormatRoundTrip(t *testing.T) {
@@ -106,7 +101,6 @@ func TestHydroWorkloadSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSizes := map[string]int{"SimpleData": 12, "JoinRequest": 20, "ControlMsg": 44, "GridMeta": 152}
-	samples := HydroSamples()
 	wantEnc := map[string]int{"SimpleData": 262176, "JoinRequest": 48, "ControlMsg": 44, "GridMeta": 152}
 	for _, w := range hw {
 		ctx, f, err := w.BuildFormats(Paper)
@@ -116,11 +110,11 @@ func TestHydroWorkloadSizes(t *testing.T) {
 		if f.Size != wantSizes[w.Name] {
 			t.Errorf("%s struct size = %d, want %d", w.Name, f.Size, wantSizes[w.Name])
 		}
-		b, err := ctx.Bind(f, samples[w.Name])
+		b, err := ctx.Bind(f, w.Sample)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := b.EncodedSize(samples[w.Name])
+		n, err := b.EncodedSize(w.Sample)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +141,7 @@ func TestPayloads(t *testing.T) {
 
 // The experiment drivers run end to end at quick settings; sanity-check the
 // relationships the paper's figures rely on (with generous slack — these
-// are smoke thresholds, not the calibrated runs in EXPERIMENTS.md).
+// are smoke thresholds; TestPaperClaims holds the calibrated bands).
 func TestFig6AndFig7Quick(t *testing.T) {
 	rows, err := Fig6(QuickOptions())
 	if err != nil {
@@ -185,16 +179,13 @@ func TestFig8Quick(t *testing.T) {
 		t.Fatalf("Fig8 rows = %d", len(rows))
 	}
 	last := rows[len(rows)-1]
-	if last.MemcpyNs <= 0 {
-		t.Errorf("memcpy floor not timed at 100 KB: %.0f ns", last.MemcpyNs)
+	if memcpy := last.Encode.Ns(len(Fig8Mechs)); memcpy <= 0 {
+		t.Errorf("memcpy floor not timed at 100 KB: %.0f ns", memcpy)
 	}
-	if last.XMLNs <= last.PBIONs {
-		t.Errorf("XML (%.0f ns) should be slower than PBIO (%.0f ns) at 100 KB",
-			last.XMLNs, last.PBIONs)
-	}
-	if last.MPINs <= last.PBIONs {
-		t.Errorf("MPI (%.0f ns) should be slower than PBIO (%.0f ns) at 100 KB",
-			last.MPINs, last.PBIONs)
+	for _, slow := range []int{mechXML, mechMPI} {
+		if r := last.Encode.Ratio(slow, mechPBIO); r <= 1 {
+			t.Errorf("%s encode should be slower than PBIO at 100 KB: ratio %.2f", Fig8Mechs[slow], r)
+		}
 	}
 }
 
@@ -209,8 +200,8 @@ func TestFig1Quick(t *testing.T) {
 	if res.Expansion < 2 || res.Expansion > 8 {
 		t.Errorf("expansion = %.2f, want the paper's ~3x ballpark", res.Expansion)
 	}
-	if res.XMLRTTNs <= res.BinaryRTTNs {
-		t.Errorf("XML RTT %.0f should exceed binary RTT %.0f", res.XMLRTTNs, res.BinaryRTTNs)
+	if res.XMLNs <= res.BinaryNs {
+		t.Errorf("XML exchange %.0f ns should exceed binary exchange %.0f ns", res.XMLNs, res.BinaryNs)
 	}
 	if res.ModelRatio <= 1 {
 		t.Errorf("modelled ratio = %.2f", res.ModelRatio)
@@ -239,20 +230,41 @@ func TestPrinters(t *testing.T) {
 		t.Fatal(err)
 	}
 	PrintFig3(&sb, reg)
-	PrintFig6(&sb, reg)
-	enc, _ := Fig7(QuickOptions())
+	reg6, err := Fig6(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	PrintFig6(&sb, reg6)
+	enc, err := Fig7(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	PrintFig7(&sb, enc)
-	f8, _ := Fig8(QuickOptions())
+	amort, err := Amortization(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	PrintAmortization(&sb, amort)
+	f8, err := Fig8(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	PrintFig8(&sb, f8)
 	f1, err := Fig1(QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if f1.BinaryBytes != 12+4*fig1Floats {
+		t.Errorf("Figure 1 binary message = %d bytes, want %d", f1.BinaryBytes, 12+4*fig1Floats)
+	}
 	PrintFig1(&sb, f1)
-	exp, _ := Expansion()
+	exp, err := Expansion()
+	if err != nil {
+		t.Fatal(err)
+	}
 	PrintExpansion(&sb, exp)
 	out := sb.String()
-	for _, want := range []string{"RDM", "Figure 7", "Figure 8", "expansion", "XML"} {
+	for _, want := range []string{"RDM", "Figure 7", "break-even", "Figure 8", "decode times", "expansion", "XML"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("printed output missing %q", want)
 		}
