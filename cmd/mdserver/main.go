@@ -1,8 +1,8 @@
 // Command mdserver hosts XML metadata documents over HTTP — the role the
 // Apache server plays in the paper's experiments.  It serves *.xsd/*.xml
 // files from a directory, with the Hydrology application's schema document
-// published at /hydrology.xsd and the quickstart example's Reading schema
-// at /quickstart.xsd by default so a demo works out of the box.
+// published at /hydrology.xsd and the quickstart's Reading schema at
+// /quickstart.xsd by default so a demo works out of the box.
 //
 // Operational metrics (request, 304-revalidation, and error counts, plus
 // request latency) are served at /metrics as plain text, or JSON with
@@ -26,9 +26,9 @@ import (
 	"github.com/open-metadata/xmit/internal/obs"
 )
 
-// quickstartSchema is the Reading format used by examples/quickstart, so
-// that `quickstart -url http://<mdserver>/quickstart.xsd` exercises the
-// whole remote-discovery path against this server.
+// quickstartSchema is the Reading format of core's ExampleToolkit_LoadURL,
+// so that `xmitgen http://<mdserver>/quickstart.xsd` exercises the whole
+// remote-discovery path against this server.
 const quickstartSchema = `<?xml version="1.0"?>
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:complexType name="Reading">

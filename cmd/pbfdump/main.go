@@ -1,5 +1,5 @@
 // Command pbfdump inspects self-describing PBIO data files (written by
-// internal/iofile, e.g. the Hydrology pipeline's -archive output).  Because
+// transport.NewFileWriter, e.g. the Hydrology pipeline's -archive output).  Because
 // the file embeds its own metadata, no format knowledge is needed: every
 // message decodes as a dynamic record.
 //
@@ -15,39 +15,55 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 	"sort"
 	"strings"
 
-	"github.com/open-metadata/xmit/internal/iofile"
 	"github.com/open-metadata/xmit/internal/pbio"
+	"github.com/open-metadata/xmit/internal/transport"
 	"github.com/open-metadata/xmit/internal/xmlwire"
 )
 
 func main() {
-	verbose := flag.Bool("v", false, "print full field values")
-	formatsOnly := flag.Bool("formats", false, "list embedded formats and exit")
-	asXML := flag.Bool("xml", false, "emit each message as an XML document (the text the paper's Figure 1 compares against)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		log.Fatal("pbfdump: need exactly one file argument")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatalf("pbfdump: %v", err)
+	}
+}
+
+// run dumps the data file named in args to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("pbfdump", flag.ContinueOnError)
+	verbose := fs.Bool("v", false, "print full field values")
+	formatsOnly := fs.Bool("formats", false, "list embedded formats and exit")
+	asXML := fs.Bool("xml", false, "emit each message as an XML document (the text the paper's Figure 1 compares against)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return fmt.Errorf("need exactly one file argument")
 	}
 
-	ctx := pbio.NewContext()
-	r, err := iofile.Open(flag.Arg(0), ctx)
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		log.Fatalf("pbfdump: %v", err)
+		return err
+	}
+	ctx := pbio.NewContext()
+	r, err := transport.NewFileReader(f, ctx)
+	if err != nil {
+		f.Close()
+		return err
 	}
 	defer r.Close()
 
 	counts := map[string]int{}
 	n := 0
 	for {
-		rec, err := r.ReadRecord()
+		rec, err := r.RecvRecord()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			log.Fatalf("pbfdump: message %d: %v", n, err)
+			return fmt.Errorf("message %d: %w", n, err)
 		}
 		n++
 		f := rec.Format()
@@ -58,38 +74,38 @@ func main() {
 		if *asXML {
 			enc, err := xmlwire.EncodeRecord(nil, rec)
 			if err != nil {
-				log.Fatalf("pbfdump: message %d: %v", n, err)
+				return fmt.Errorf("message %d: %w", n, err)
 			}
-			fmt.Printf("%s\n", enc)
+			fmt.Fprintf(out, "%s\n", enc)
 			continue
 		}
 		if *verbose {
-			fmt.Printf("#%d %s (%d bytes fixed, %s layout)\n", n, f.Name, f.Size, f.Platform)
+			fmt.Fprintf(out, "#%d %s (%d bytes fixed, %s layout)\n", n, f.Name, f.Size, f.Platform)
 			for _, name := range rec.FieldNames() {
 				v, _ := rec.Get(name)
-				fmt.Printf("    %-16s %s\n", name, summarize(v))
+				fmt.Fprintf(out, "    %-16s %s\n", name, summarize(v))
 			}
 		} else {
-			fmt.Printf("#%-6d %-14s %s\n", n, f.Name, oneLine(rec))
+			fmt.Fprintf(out, "#%-6d %-14s %s\n", n, f.Name, oneLine(rec))
 		}
 	}
 
-	fmt.Printf("\n%d messages", n)
+	fmt.Fprintf(out, "\n%d messages", n)
 	names := make([]string, 0, len(counts))
 	for name := range counts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("  %s:%d", name, counts[name])
+		fmt.Fprintf(out, "  %s:%d", name, counts[name])
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	if *formatsOnly {
 		for _, name := range names {
-			f := ctx.FormatByName(name)
-			fmt.Println(f.String())
+			fmt.Fprintln(out, ctx.FormatByName(name).String())
 		}
 	}
+	return nil
 }
 
 // summarize renders a field value, abbreviating long arrays.

@@ -30,7 +30,6 @@ import (
 
 // Codec marshals one (format, Go type) pair in CDR form.
 type Codec struct {
-	format    *meta.Format
 	goType    reflect.Type
 	bounds    []refbind.Bound
 	bigEndian bool // sender byte order (from the format's platform)
@@ -47,11 +46,8 @@ func NewCodec(f *meta.Format, sample any) (*Codec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Codec{format: f, goType: t, bounds: bounds, bigEndian: f.BigEndian}, nil
+	return &Codec{goType: t, bounds: bounds, bigEndian: f.BigEndian}, nil
 }
-
-// Format returns the codec's metadata.
-func (c *Codec) Format() *meta.Format { return c.format }
 
 // Encode appends the CDR encoding of v to dst.  The first byte is the byte
 // order flag (0 = big endian, 1 = little endian, as in GIOP); the body is

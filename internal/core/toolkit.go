@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	neturl "net/url"
 	"path"
 	"sort"
@@ -173,15 +172,6 @@ func resolveRef(base, ref string) (string, error) {
 	default:
 		return path.Join(path.Dir(base), ref), nil
 	}
-}
-
-// Load reads one XML Schema document from r and loads its definitions.
-func (t *Toolkit) Load(r io.Reader) ([]string, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return t.loadBytes(data, "")
 }
 
 // LoadString loads a schema document held in a string.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/open-metadata/xmit/internal/discovery"
@@ -269,6 +271,39 @@ func TestHTTPDiscoveryAndRefresh(t *testing.T) {
 	}
 	if f.FieldByName("quality") < 0 {
 		t.Errorf("evolved field missing: %s", f)
+	}
+}
+
+// TestWithRepositoryShared: WithRepository substitutes the toolkit's
+// document repository, so toolkits handed one repository share its cache
+// and the origin serves the document once.  A toolkit with its own
+// repository fetches again.
+func TestWithRepositoryShared(t *testing.T) {
+	docs := discovery.NewDocServer()
+	docs.Publish("hydro.xsd", []byte(hydroSchemas))
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		docs.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	url := ts.URL + "/hydro.xsd"
+
+	repo := discovery.NewRepository(discovery.WithMetricsRegistry(obs.NewRegistry()))
+	for i := 0; i < 2; i++ {
+		tk := NewToolkit(WithRepository(repo), WithMetrics(obs.NewRegistry()))
+		if names, err := tk.LoadURL(url); err != nil || len(names) != 2 {
+			t.Fatalf("toolkit %d loaded %v, %v", i, names, err)
+		}
+	}
+	if n := hits.Load(); n != 1 {
+		t.Errorf("two toolkits on one repository fetched %d times, want 1", n)
+	}
+	if _, err := NewToolkit(WithMetrics(obs.NewRegistry())).LoadURL(url); err != nil {
+		t.Fatal(err)
+	}
+	if n := hits.Load(); n != 2 {
+		t.Errorf("a toolkit with its own repository left the fetch count at %d, want 2", n)
 	}
 }
 

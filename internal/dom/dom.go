@@ -1,12 +1,12 @@
 // Package dom reads XML documents: a pull tokenizer (Tokenizer), an element
-// tree built from its tokens (Parse, ParseBytes, ParseString), traversal,
+// tree built from its tokens (ParseBytes, ParseString), traversal,
 // and serialisation back to XML.
 //
 // The original XMIT parsed each schema into a Xerces-C DOM tree and then
 // pulled type definitions out of it by selective traversal.  Here the
 // schema translator (internal/xsd) reads the tokenizer directly and builds
-// no tree; the tree serves the callers that want one (XML messages, RPC
-// envelopes, the lineage and mesh documents).  Strings in tokens and trees
+// no tree; the tree serves the callers that want one (XML messages, the
+// lineage and mesh documents).  Strings in tokens and trees
 // are substrings of one copy of the document, so a caller that keeps a
 // short value from a large document should clone it.  ParseStd, built on
 // encoding/xml, is the reference the tokenizer is tested against.

@@ -95,16 +95,6 @@ func ParseBytes(data []byte) (*Document, error) {
 	return build(NewTokenizer(string(data)))
 }
 
-// Parse reads an XML document into a tree.  Element and attribute names
-// carry resolved namespace URIs in Space.
-func Parse(r io.Reader) (*Document, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("dom: %w", err)
-	}
-	return ParseBytes(data)
-}
-
 // ParseString parses a document held in a string; the tree's strings are
 // substrings of s.
 func ParseString(s string) (*Document, error) {

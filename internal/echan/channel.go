@@ -241,15 +241,6 @@ func newChannel(b *Broker, name string, opts ...ChannelOption) *Channel {
 	return ch
 }
 
-// Name returns the channel name.
-func (ch *Channel) Name() string { return ch.name }
-
-// OutOfBand reports whether the channel distributes metadata out-of-band.
-func (ch *Channel) OutOfBand() bool { return ch.oob }
-
-// Derived reports whether the channel is derived from a parent.
-func (ch *Channel) Derived() bool { return ch.parent != nil }
-
 // lineageName is the schema-registry lineage the channel's formats belong
 // to.  A derived channel shares its parent's stream (and format table), so
 // it shares the parent's lineage too.

@@ -149,13 +149,6 @@ func (c *Client) Create(name string) error {
 	return err
 }
 
-// CreateOutOfBand creates a channel whose subscribers resolve formats
-// through the discovery path instead of in-band announcements.
-func (c *Client) CreateOutOfBand(name string) error {
-	_, err := c.Do("CREATE " + name + " oob")
-	return err
-}
-
 // Derive creates a filtered channel fed by parent.
 func (c *Client) Derive(name, parent, filter string) error {
 	_, err := c.Do("DERIVE " + name + " " + parent + " " + filter)

@@ -192,9 +192,6 @@ func NewBroker(opts ...BrokerOption) *Broker {
 	return b
 }
 
-// Context returns the broker's PBIO context.
-func (b *Broker) Context() *pbio.Context { return b.ctx }
-
 // SchemaRegistry returns the attached schema registry, or nil.
 func (b *Broker) SchemaRegistry() *registry.Registry { return b.schemaReg }
 

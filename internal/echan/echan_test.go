@@ -295,6 +295,39 @@ func TestDropNewestPolicy(t *testing.T) {
 	}
 }
 
+// TestDefaultQueue: WithDefaultQueue sets the queue a subscriber gets when
+// it asks for none (echod's -queue).  A stalled DropNewest subscriber holds
+// one event in flight plus a full queue and rejects the rest of a burst.
+func TestDefaultQueue(t *testing.T) {
+	_, bind := eventBinding(t, platform.X8664)
+	for _, q := range []int{2, 3} {
+		b := NewBroker(WithRegistry(obs.NewRegistry()), WithDefaultQueue(q))
+		defer b.Close()
+		ch, err := b.Create("burst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		subscriberConn(t, ch, pbio.NewContext(), DropNewest)
+		if err := ch.Publish(bind, &Event{Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "event 1 in flight", func() bool {
+			st := ch.Stats()
+			return st.ShardDepth == 0 && st.Depth == 0
+		})
+		const burst = 5
+		for i := 2; i <= 1+burst; i++ {
+			if err := ch.Publish(bind, &Event{Seq: int32(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "the burst to be offered", func() bool { return ch.Stats().ShardDepth == 0 })
+		if st := ch.Stats(); st.Depth != int64(q) || st.DroppedNewest != int64(burst-q) {
+			t.Errorf("default queue %d: depth %d, dropped %d; want %d, %d", q, st.Depth, st.DroppedNewest, q, burst-q)
+		}
+	}
+}
+
 func TestBlockPolicy(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := NewBroker(WithRegistry(reg))

@@ -200,11 +200,7 @@ func (l *Link) session() (delivered bool) {
 	}
 	defer conn.Close()
 
-	cmd := "SUB " + l.name + " block"
-	if l.mesh.linkQueue > 0 {
-		cmd += " " + strconv.Itoa(l.mesh.linkQueue)
-	}
-	cmd += " link"
+	cmd := "SUB " + l.name + " block link"
 	resumed := l.haveGen.Load()
 	if resumed {
 		cmd += " after=" + strconv.FormatUint(l.lastGen.Load(), 10)

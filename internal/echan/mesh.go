@@ -49,7 +49,6 @@ type Mesh struct {
 	dial          func(addr string) (net.Conn, error)
 	helloEvery    time.Duration
 	attachTimeout time.Duration
-	linkQueue     int
 
 	mu     sync.Mutex
 	peers  map[string]*peerState
@@ -101,16 +100,6 @@ func WithMeshAttachTimeout(d time.Duration) MeshOption {
 	return func(m *Mesh) {
 		if d > 0 {
 			m.attachTimeout = d
-		}
-	}
-}
-
-// WithLinkQueue sets the queue length link subscriptions request on the
-// home broker (default: the home channel's own default).
-func WithLinkQueue(n int) MeshOption {
-	return func(m *Mesh) {
-		if n > 0 {
-			m.linkQueue = n
 		}
 	}
 }

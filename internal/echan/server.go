@@ -54,9 +54,6 @@ func (s *Server) Broker() *Broker { return s.broker }
 // which is why it is not a constructor option.
 func (s *Server) AttachMesh(m *Mesh) { s.mesh.Store(m) }
 
-// Mesh returns the attached mesh, or nil.
-func (s *Server) Mesh() *Mesh { return s.mesh.Load() }
-
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
 // returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {

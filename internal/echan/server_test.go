@@ -5,10 +5,15 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/open-metadata/xmit/internal/fmtserver"
+	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/obs"
 	"github.com/open-metadata/xmit/internal/pbio"
 	"github.com/open-metadata/xmit/internal/platform"
+	"github.com/open-metadata/xmit/internal/registry"
+	"github.com/open-metadata/xmit/internal/transport"
 )
 
 func startServer(t *testing.T, opts ...BrokerOption) (*Server, string) {
@@ -182,6 +187,121 @@ func TestServerProtocolErrors(t *testing.T) {
 	// The connection survives errors and still works.
 	if err := ctl.Create("ok"); err != nil {
 		t.Errorf("create after errors: %v", err)
+	}
+}
+
+// TestServerResolvesOutOfBandPublisher: the broker's context (WithContext;
+// echod gives it a format-server resolver) is where an out-of-band
+// publisher's format IDs resolve.  Such a publisher sends no metadata, so a
+// broker whose context cannot resolve the ID drops it.
+func TestServerResolvesOutOfBandPublisher(t *testing.T) {
+	fsReg := fmtserver.NewRegistry()
+	sctx, bind := eventBinding(t, platform.Sparc32)
+	if _, err := fsReg.Register(bind.Format()); err != nil {
+		t.Fatal(err)
+	}
+
+	_, addr := startServer(t, WithContext(pbio.NewContext(pbio.WithResolver(fsReg))))
+	sub, err := DialSubscriber(addr, "oob", Block, 0, pbio.NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	pub, err := DialPublisherConn(addr, "oob", sctx, transport.WithMode(transport.OutOfBand))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	if err := pub.Send(bind, &Event{Seq: 7, Temp: 1.5}); err != nil {
+		t.Fatal(err)
+	}
+	// A broker that cannot resolve the ID drops the publisher and sends
+	// nothing; the deadline turns that into a failure instead of a hang.
+	sub.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var out Event
+	if _, err := sub.Recv(&out); err != nil || out != (Event{Seq: 7, Temp: 1.5}) {
+		t.Fatalf("subscriber got %+v, %v", out, err)
+	}
+	if n := pub.Stats().FormatsAnnounced; n != 0 {
+		t.Errorf("out-of-band publisher announced %d formats, want 0", n)
+	}
+
+	_, bare := startServer(t)
+	blind, err := DialPublisherConn(bare, "oob", sctx, transport.WithMode(transport.OutOfBand))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blind.Close()
+	if err := blind.Send(bind, &Event{Seq: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := blind.Status(5 * time.Second); err == nil {
+		t.Error("a broker with no resolver accepted an unknown format ID")
+	}
+}
+
+// TestCompatErrorCrossesSockets: a schema-policy rejection keeps its
+// structure on the wire.  A narrowing publish under a BACKWARD policy
+// reaches the publisher as a *registry.CompatError, with lineage, policy
+// and offending field intact, both from the home broker and through a mesh
+// peer that pipes the publisher's bytes to the home (forwardPublisher).
+func TestCompatErrorCrossesSockets(t *testing.T) {
+	_, home, _, sr := evolveMeshServer(t, 0)
+	peer, via, _, _ := evolveMeshServer(t, 0)
+	peer.AddPeer(home)
+	ctl, err := DialControl(home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	if err := ctl.Create("telemetry"); err != nil {
+		t.Fatal(err)
+	}
+	chain := sensorChain(t)
+	narrowed, err := meta.Build("sensor", platform.X8664, []meta.FieldDef{
+		{Name: "id", Kind: meta.Integer, Class: platform.Int},
+		{Name: "value", Kind: meta.Float, Class: platform.Float}, // double -> float narrows
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct{ name, addr string }{{"home", home}, {"mesh hop", via}} {
+		t.Run(c.name, func(t *testing.T) {
+			pub, err := DialPublisherConn(c.addr, "telemetry", pbio.NewContext(pbio.WithPlatform(platform.X8664)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pub.Close()
+			for _, f := range []*meta.Format{chain[0], narrowed} {
+				rec := pbio.NewRecord(f)
+				if err := rec.Set("id", 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := pub.SendRecord(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = pub.Status(5 * time.Second)
+			var ce *registry.CompatError
+			if !errors.As(err, &ce) {
+				t.Fatalf("publisher got %v, want a *registry.CompatError", err)
+			}
+			if ce.Lineage != "telemetry" || ce.Policy != registry.PolicyBackward || ce.FromVersion != 1 {
+				t.Errorf("rejection names lineage %q, policy %v, v%d; want telemetry, backward, v1",
+					ce.Lineage, ce.Policy, ce.FromVersion)
+			}
+			if len(ce.Violations) != 1 || ce.Violations[0].Path != "value" {
+				t.Errorf("violations = %+v, want the value field alone", ce.Violations)
+			}
+		})
+	}
+	l, err := sr.Lineage("telemetry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Len() != 1 {
+		t.Errorf("home lineage has %d versions after two rejected publishes, want 1", l.Len())
 	}
 }
 

@@ -2,12 +2,13 @@ package hydro
 
 import (
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
-	"github.com/open-metadata/xmit/internal/iofile"
 	"github.com/open-metadata/xmit/internal/pbio"
 	"github.com/open-metadata/xmit/internal/platform"
+	"github.com/open-metadata/xmit/internal/transport"
 )
 
 // TestPipelineArchive runs the pipeline with archiving and replays the
@@ -25,7 +26,11 @@ func TestPipelineArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := iofile.Open(path, pbio.NewContext(pbio.WithPlatform(platform.X8664)))
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := transport.NewFileReader(f, pbio.NewContext(pbio.WithPlatform(platform.X8664)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +38,7 @@ func TestPipelineArchive(t *testing.T) {
 	var metas, frames int
 	var lastStep int32
 	for {
-		f, body, err := r.Next()
+		f, body, err := r.RecvMessage()
 		if err == io.EOF {
 			break
 		}
@@ -69,5 +74,23 @@ func TestPipelineArchive(t *testing.T) {
 	}
 	if lastStep != int32(rep.StepsRun) {
 		t.Errorf("last archived step = %d, want %d", lastStep, rep.StepsRun)
+	}
+}
+
+// TestPipelineArchiveFlushError: a short run's frames sit in the archive's
+// write buffer until Close flushes them, so a failing flush must fail the
+// run rather than leave a silently truncated file.
+func TestPipelineArchiveFlushError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to make the flush fail")
+	}
+	_, err := RunPipeline(PipelineConfig{
+		Grid:        Config{Nx: 4, Ny: 4, Seed: 8},
+		Steps:       1,
+		Sinks:       1,
+		ArchivePath: "/dev/full",
+	})
+	if err == nil {
+		t.Fatal("the run succeeded although the archive could not be written")
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 
 	"github.com/open-metadata/xmit/internal/core"
-	"github.com/open-metadata/xmit/internal/iofile"
 	"github.com/open-metadata/xmit/internal/pbio"
 	"github.com/open-metadata/xmit/internal/platform"
 	"github.com/open-metadata/xmit/internal/transport"
@@ -36,7 +36,7 @@ type PipelineConfig struct {
 	SchemaURL string
 	// ArchivePath, when non-empty, makes the coupler archive every frame
 	// it broadcasts into a self-describing PBIO data file (readable with
-	// cmd/pbfdump or internal/iofile on any platform).
+	// cmd/pbfdump or transport.NewFileReader on any platform).
 	ArchivePath string
 	// UseTCP wires the components over loopback TCP connections instead
 	// of in-process pipes, exercising the same paths a distributed
@@ -208,11 +208,13 @@ func RunPipeline(cfg PipelineConfig) (*RunReport, error) {
 		defer flowOut.Close()
 		return runFlow2D(flow, flowIn, flowOut, cfg, report, &controlSeen, &joins)
 	})
-	var archive *iofile.Writer
+	var archive *transport.Conn
 	if cfg.ArchivePath != "" {
-		if archive, err = iofile.Create(cfg.ArchivePath); err != nil {
+		f, err := os.Create(cfg.ArchivePath)
+		if err != nil {
 			return nil, err
 		}
+		archive = transport.NewFileWriter(f, coupler.ctx)
 	}
 	run("coupler", func() error {
 		// Closing the solver-facing end last is the solver's signal that
@@ -221,10 +223,14 @@ func RunPipeline(cfg PipelineConfig) (*RunReport, error) {
 		for _, sc := range sinkConns {
 			defer sc.Close()
 		}
+		err := runCoupler(coupler, coupIn, sinkConns, flowOut, &joins, archive)
 		if archive != nil {
-			defer archive.Close()
+			// Close flushes the archive's buffered frames.
+			if cerr := archive.Close(); err == nil {
+				err = cerr
+			}
 		}
-		return runCoupler(coupler, coupIn, sinkConns, flowOut, &joins, archive)
+		return err
 	})
 	for i := range sinks {
 		i := i
@@ -497,7 +503,7 @@ func runFlow2D(c *component, in, out *transport.Conn, cfg PipelineConfig,
 // upstream to the solver, and optionally archives the data stream to a
 // PBIO file.
 func runCoupler(c *component, in *transport.Conn, sinks []*transport.Conn,
-	upstream *transport.Conn, joins *atomic.Int64, archive *iofile.Writer) error {
+	upstream *transport.Conn, joins *atomic.Int64, archive *transport.Conn) error {
 	bCM, err := c.ctx.Bind(c.fmts.ControlMsg, &ControlMsg{})
 	if err != nil {
 		return err
@@ -559,7 +565,7 @@ func runCoupler(c *component, in *transport.Conn, sinks []*transport.Conn,
 				}
 			}
 			if archive != nil {
-				if err := archive.Write(bGM, &gm); err != nil {
+				if err := archive.Send(bGM, &gm); err != nil {
 					return err
 				}
 			}
@@ -573,7 +579,7 @@ func runCoupler(c *component, in *transport.Conn, sinks []*transport.Conn,
 				}
 			}
 			if archive != nil {
-				if err := archive.Write(bSD, &sd); err != nil {
+				if err := archive.Send(bSD, &sd); err != nil {
 					return err
 				}
 			}

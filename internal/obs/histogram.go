@@ -94,13 +94,6 @@ func (r *Run) Flush() {
 // Observe records a duration.
 func (h *Histogram) Observe(d time.Duration) { h.Record(d.Nanoseconds()) }
 
-// Time runs fn and records its wall-clock duration.
-func (h *Histogram) Time(fn func()) {
-	start := time.Now()
-	fn()
-	h.Observe(time.Since(start))
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -2,9 +2,12 @@ package obs
 
 import (
 	"encoding/json"
+	"expvar"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -198,5 +201,45 @@ func TestNamedRegistries(t *testing.T) {
 	}
 	if Default() != Named("default") {
 		t.Error("Default must be the registry named \"default\"")
+	}
+}
+
+var expvarRuns atomic.Int64
+
+// TestPublishExpvar: the daemons publish their registry on /debug/vars.  The
+// published variable is live — it reads the metrics at each render, not a
+// snapshot taken at publication.
+func TestPublishExpvar(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("requests_total")
+	c.Add(3)
+	r.Histogram("request_ns").Record(1500)
+	// expvar names are process-wide and cannot be unpublished, so each run
+	// (go test -count=N) publishes under a fresh one.
+	name := fmt.Sprintf("obs_test_registry_%d", expvarRuns.Add(1))
+	PublishExpvar(name, r)
+
+	read := func() map[string]any {
+		t.Helper()
+		v := expvar.Get(name)
+		if v == nil {
+			t.Fatal("registry not published")
+		}
+		var got map[string]any
+		if err := json.Unmarshal([]byte(v.String()), &got); err != nil {
+			t.Fatalf("expvar value is not JSON: %v", err)
+		}
+		return got
+	}
+	got := read()
+	if got["requests_total"] != 3.0 {
+		t.Errorf("requests_total = %v, want 3", got["requests_total"])
+	}
+	if h, ok := got["request_ns"].(map[string]any); !ok || h["count"] != 1.0 || h["max_ns"] != 1500.0 {
+		t.Errorf("request_ns = %v, want count 1, max 1500", got["request_ns"])
+	}
+	c.Inc()
+	if got := read(); got["requests_total"] != 4.0 {
+		t.Errorf("after Inc, requests_total = %v, want 4", got["requests_total"])
 	}
 }

@@ -161,9 +161,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close closes the journal and the pack.  Blobs need no teardown; formats
 // already handed out stay valid.
 func (s *Store) Close() error {

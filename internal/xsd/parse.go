@@ -9,7 +9,7 @@ import (
 	"github.com/open-metadata/xmit/internal/dom"
 )
 
-// Parse reads an XML Schema document and extracts its complexType
+// ParseBytes parses an XML Schema document and extracts its complexType
 // definitions, following the paper's conventions:
 //
 //   - Every named complexType defines one message format.
@@ -23,16 +23,8 @@ import (
 //   - A dimensionName that references no declared element implicitly
 //     introduces an integer element placed just before the array
 //     (dimensionPlacement="before", the only supported placement).
-func Parse(r io.Reader) (*Schema, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("xsd: dom: %w", err)
-	}
-	return ParseBytes(data)
-}
-
-// ParseBytes parses a schema held in a byte slice.  The schema's strings
-// share one copy of data.
+//
+// The schema's strings share one copy of data.
 func ParseBytes(data []byte) (*Schema, error) {
 	return ParseString(string(data))
 }
