@@ -11,10 +11,13 @@
 // (with -metrics) served at /.well-known/xmit-lineages for discovery.
 //
 // With -store, the catalogue persists: registered formats are written
-// through to a content-addressed blob store and replayed from local disk
+// through to the store's format pack and replayed from local disk
 // at startup, so a restarted server answers every pre-restart lookup
 // without a single re-registration; with -policy too, lineage histories
 // and policy decisions are journaled and recovered the same way.
+//
+// The server's body is daemon.StartFmtserver; SIGINT or SIGTERM stops it
+// cleanly, snapshotting the lineages into the store.
 //
 // Usage:
 //
@@ -22,103 +25,37 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 
-	"github.com/open-metadata/xmit/internal/discovery"
-	"github.com/open-metadata/xmit/internal/fmtserver"
+	"github.com/open-metadata/xmit/internal/daemon"
 	"github.com/open-metadata/xmit/internal/obs"
-	"github.com/open-metadata/xmit/internal/registry"
-	"github.com/open-metadata/xmit/internal/store"
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8701", "listen address")
-	metricsAddr := flag.String("metrics", "", "serve /metrics on this HTTP address (empty: disabled)")
-	policy := flag.String("policy", "", "track format lineages with this default compatibility policy (none, backward, forward, full, *_transitive; empty: no lineages)")
-	storeDir := flag.String("store", "", "persist the format catalogue (and lineages, with -policy) in this directory")
+	var cfg daemon.FmtserverConfig
+	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:8701", "listen address")
+	flag.StringVar(&cfg.Metrics, "metrics", "", "serve /metrics on this HTTP address (empty: disabled)")
+	flag.StringVar(&cfg.Policy, "policy", "", "track format lineages with this default compatibility policy (none, backward, forward, full, *_transitive; empty: no lineages)")
+	flag.StringVar(&cfg.Store, "store", "", "persist the format catalogue (and lineages, with -policy) in this directory")
 	flag.Parse()
 
-	reg := fmtserver.NewRegistry()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	metrics := obs.Default()
-	reg.PublishMetrics(metrics, "fmtserver")
-	obs.PublishExpvar("fmtserver", metrics)
-
-	var schemaReg *registry.Registry
-	if *policy != "" {
-		p, err := registry.ParsePolicy(*policy)
-		if err != nil {
-			log.Fatalf("fmtserver: %v", err)
-		}
-		schemaReg = registry.New(registry.WithDefaultPolicy(p))
-		reg.AttachLineages(schemaReg)
-		fmt.Printf("fmtserver: tracking lineages (default policy %s)\n", *policy)
-	}
-
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		st, err = store.Open(*storeDir, store.WithMetricsRegistry(metrics))
-		if err != nil {
-			log.Fatalf("fmtserver: %v", err)
-		}
-		if schemaReg != nil {
-			// Lineage state first: recovery rebuilds histories and policies
-			// through the adoption path, so the catalogue warm-up below
-			// re-registers against the recovered (not empty) lineages.
-			rs, err := st.PersistRegistry(schemaReg)
-			if err != nil {
-				log.Fatalf("fmtserver: recovering store %s: %v", *storeDir, err)
-			}
-			fmt.Printf("fmtserver: store %s: recovered %d lineages, %d versions\n", *storeDir, rs.Lineages, rs.Versions)
-		}
-		n, err := reg.WarmFromStore(st)
-		if err != nil {
-			log.Fatalf("fmtserver: warming from store %s: %v", *storeDir, err)
-		}
-		reg.AttachStore(st)
-		fmt.Printf("fmtserver: warmed %d formats from %s\n", n, *storeDir)
-	}
-
-	srv := fmtserver.NewServer(reg)
-	bound, err := srv.Listen(*addr)
+	d, err := daemon.StartFmtserver(cfg, metrics)
 	if err != nil {
 		log.Fatalf("fmtserver: %v", err)
 	}
-	fmt.Printf("fmtserver: listening on %s\n", bound)
-
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler())
-		if schemaReg != nil {
-			mux.Handle(discovery.WellKnownLineagePath, discovery.LineageHandler(func() []discovery.LineageDoc {
-				return discovery.SnapshotLineages(schemaReg)
-			}))
-			fmt.Printf("fmtserver: lineages on http://%s%s\n", *metricsAddr, discovery.WellKnownLineagePath)
-		}
-		go func() {
-			fmt.Printf("fmtserver: metrics on http://%s/metrics\n", *metricsAddr)
-			log.Fatal(http.ListenAndServe(*metricsAddr, mux))
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
+	obs.PublishExpvar("fmtserver", metrics)
+	<-ctx.Done()
+	stop()
 	fmt.Println("fmtserver: shutting down")
-	srv.Close()
-	if st != nil {
-		if schemaReg != nil {
-			if err := st.Snapshot(schemaReg); err != nil {
-				log.Printf("fmtserver: snapshotting store: %v", err)
-			}
-		}
-		if err := st.Close(); err != nil {
-			log.Printf("fmtserver: closing store: %v", err)
-		}
+	if err := d.Close(); err != nil {
+		log.Fatalf("fmtserver: %v", err)
 	}
 }

@@ -8,105 +8,41 @@
 // request latency) are served at /metrics as plain text, or JSON with
 // ?format=json.
 //
+// The server's body is daemon.StartMdserver; SIGINT or SIGTERM stops it.
+//
 // Usage:
 //
 //	mdserver -addr :8700 -dir ./schemas
 package main
 
 import (
+	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"time"
+	"os/signal"
+	"syscall"
 
-	"github.com/open-metadata/xmit/internal/discovery"
-	"github.com/open-metadata/xmit/internal/hydro"
+	"github.com/open-metadata/xmit/internal/daemon"
 	"github.com/open-metadata/xmit/internal/obs"
 )
 
-// quickstartSchema is the Reading format of core's ExampleToolkit_LoadURL,
-// so that `xmitgen http://<mdserver>/quickstart.xsd` exercises the whole
-// remote-discovery path against this server.
-const quickstartSchema = `<?xml version="1.0"?>
-<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
-  <xsd:complexType name="Reading">
-    <xsd:element name="station" type="xsd:string" />
-    <xsd:element name="timestamp" type="xsd:unsignedLong" />
-    <xsd:element name="temperature" type="xsd:float" />
-    <xsd:element name="samples" type="xsd:double" minOccurs="0" maxOccurs="*"
-        dimensionPlacement="before" dimensionName="nsamples" />
-  </xsd:complexType>
-</xsd:schema>`
-
-// statusWriter captures the response status for the counting middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-// counted wraps a document handler with the server's traffic metrics.
-func counted(reg *obs.Registry, h http.Handler) http.Handler {
-	requests := reg.Counter("mdserver_requests_total")
-	full := reg.Counter("mdserver_full_responses_total")
-	notModified := reg.Counter("mdserver_not_modified_total")
-	errors := reg.Counter("mdserver_errors_total")
-	bytes := reg.Counter("mdserver_bytes_sent_total")
-	latency := reg.Histogram("mdserver_request_ns")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h.ServeHTTP(sw, r)
-		latency.Observe(time.Since(start))
-		requests.Inc()
-		bytes.Add(sw.bytes)
-		switch {
-		case sw.status == http.StatusNotModified:
-			notModified.Inc()
-		case sw.status >= 400:
-			errors.Inc()
-		default:
-			full.Inc()
-		}
-	})
-}
-
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8700", "listen address")
-	dir := flag.String("dir", "", "directory of schema documents to serve (optional)")
+	var cfg daemon.MdserverConfig
+	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:8700", "listen address")
+	flag.StringVar(&cfg.Dir, "dir", "", "directory of schema documents to serve (optional)")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	metrics := obs.Default()
-	mux := http.NewServeMux()
-	pub := discovery.NewDocServer()
-	pub.Publish("hydrology.xsd", []byte(hydro.SchemaDocument))
-	pub.Publish("quickstart.xsd", []byte(quickstartSchema))
-	mux.Handle("/hydrology.xsd", counted(metrics, pub))
-	mux.Handle("/quickstart.xsd", counted(metrics, pub))
-	if *dir != "" {
-		if _, err := os.Stat(*dir); err != nil {
-			log.Fatalf("mdserver: %v", err)
-		}
-		mux.Handle("/", counted(metrics, discovery.DirHandler(*dir)))
-	} else {
-		mux.Handle("/", counted(metrics, pub))
+	d, err := daemon.StartMdserver(cfg, metrics)
+	if err != nil {
+		log.Fatalf("mdserver: %v", err)
 	}
-	mux.Handle("/metrics", metrics.Handler())
 	obs.PublishExpvar("mdserver", metrics)
-
-	fmt.Printf("mdserver: serving metadata on http://%s/ (try /hydrology.xsd; metrics at /metrics)\n", *addr)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	<-ctx.Done()
+	stop()
+	if err := d.Close(); err != nil {
+		log.Fatalf("mdserver: %v", err)
+	}
 }

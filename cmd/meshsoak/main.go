@@ -1,9 +1,8 @@
 // Command meshsoak drives an exactly-once delivery check across a running
 // broker mesh: it publishes a numbered event stream into one broker and
 // verifies that steady subscribers attached through *other* brokers receive
-// every event exactly once and in order, even while inter-broker links are
-// being faulted.  The CI federation job boots three echod daemons, tears
-// one link, and fails the build if meshsoak exits nonzero.
+// every event exactly once and in order.  The CI federation job boots three
+// echod daemons and fails the build if meshsoak exits nonzero.
 //
 // With -evolve k, the publisher also upgrades the event format k times
 // mid-stream (each version adds a field), driving the brokers' federated
@@ -14,21 +13,12 @@
 // decode the entire stream projected onto v1, bit-exactly, while the wire
 // format evolves under it.
 //
-// With -restart, meshsoak instead drives the persistence check against a
-// broker running with -store: "-restart seed" grows the channel's lineage,
-// provokes a compatibility rejection of a deliberately broken head, and
-// writes the lineage version IDs plus the rejection's JSON to the -state
-// file; after the broker is killed and restarted, "-restart verify" demands
-// the full lineage (bit-exact version IDs) from the very first directory
-// answer — no gossip round, no remote fetch — re-submits the same broken
-// head expecting a byte-identical rejection, and runs a fresh exactly-once
-// stream through a v1-pinned subscriber resolved from the recovered lineage.
+// The persistence check (a home broker restarted alone from its -store)
+// is TestRestartRecovery in internal/daemon.
 //
 // Usage:
 //
 //	meshsoak -home 127.0.0.1:8801 -via 127.0.0.1:8811,127.0.0.1:8821 -n 5000 -subs 2 [-evolve 3 -pin]
-//	meshsoak -home 127.0.0.1:8801 -restart seed   -state soak.json -evolve 3
-//	meshsoak -home 127.0.0.1:8801 -restart verify -state soak.json -n 2000
 //
 // Every subscriber must observe the contiguous sequence 0..n-1: a gap is
 // lost delivery, a repeat or regression is duplicated delivery, and either
@@ -36,8 +26,6 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -50,20 +38,13 @@ import (
 	"github.com/open-metadata/xmit/internal/meta"
 	"github.com/open-metadata/xmit/internal/pbio"
 	"github.com/open-metadata/xmit/internal/platform"
-	"github.com/open-metadata/xmit/internal/registry"
 )
 
-type event struct {
-	Seq int32
-	Val float64
-}
-
 type subResult struct {
-	broker  string
-	idx     int
-	count   int
-	formats int // distinct wire formats decoded (dynamic mode only)
-	err     error
+	broker string
+	idx    int
+	count  int
+	err    error
 }
 
 func main() {
@@ -76,21 +57,7 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "overall deadline")
 	evolve := flag.Int("evolve", 0, "upgrade the event format this many times mid-stream (needs echod -policy)")
 	pin := flag.Bool("pin", false, "add a v1-pinned subscriber per broker (needs echod -policy)")
-	restart := flag.String("restart", "", "restart-recovery mode: seed (grow lineage, record broken-head rejection) or verify (after broker restart; needs echod -store)")
-	stateFile := flag.String("state", "meshsoak-state.json", "state file shared between -restart seed and -restart verify")
 	flag.Parse()
-
-	switch *restart {
-	case "":
-	case "seed":
-		runRestartSeed(*home, *channel, *stateFile, *evolve)
-		return
-	case "verify":
-		runRestartVerify(*home, *channel, *stateFile, *n, *queue)
-		return
-	default:
-		log.Fatalf("meshsoak: -restart must be seed or verify, not %q", *restart)
-	}
 
 	brokers := []string{*home}
 	for _, a := range strings.Split(*via, ",") {
@@ -107,10 +74,9 @@ func main() {
 		log.Fatalf("meshsoak: creating %s on %s: %v", *channel, *home, err)
 	}
 
-	// dynamic mode decodes via records instead of a fixed struct, so the
-	// stream can carry several format versions; chain[0] is the v1 every
-	// pinned subscriber must keep decoding.
-	dynamic := *evolve > 0 || *pin
+	// Events travel as records, so the stream can carry several format
+	// versions; chain[0] is the v1 every pinned subscriber must keep
+	// decoding.
 	chain := soakChain(*evolve + 1)
 
 	// Attach every subscriber before the first publish: a steady subscriber
@@ -123,11 +89,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if dynamic {
-				results <- receiveRecords(sc, addr, idx, *n, wantID)
-			} else {
-				results <- receive(sc, addr, idx, *n)
-			}
+			results <- receiveRecords(sc, addr, idx, *n, wantID)
 		}()
 	}
 	for _, addr := range brokers {
@@ -171,39 +133,25 @@ func main() {
 	}
 
 	start := time.Now()
-	if dynamic {
-		// The publisher upgrades the format every n/len(chain) events,
-		// mid-stream, driving the registry while events flow.
-		for i := 0; i < *n; i++ {
-			f := chain[i*len(chain)/(*n)]
-			rec := pbio.NewRecord(f)
-			mustSet(rec, "seq", i)
-			mustSet(rec, "val", float64(i))
-			for _, fl := range f.Fields[2:] {
-				mustSet(rec, fl.Name, i)
-			}
-			if err := pub.SendRecord(rec); err != nil {
-				log.Fatalf("meshsoak: publish %d: %v", i, err)
-			}
+	// With -evolve the publisher upgrades the format every n/len(chain)
+	// events, mid-stream, driving the registry while events flow.
+	for i := 0; i < *n; i++ {
+		f := chain[i*len(chain)/(*n)]
+		rec := pbio.NewRecord(f)
+		mustSet(rec, "seq", i)
+		mustSet(rec, "val", float64(i))
+		for _, fl := range f.Fields[2:] {
+			mustSet(rec, fl.Name, i)
 		}
-	} else {
-		bind, err := pub.Context().Bind(mustFormat(pub.Context()), &event{})
-		if err != nil {
-			log.Fatalf("meshsoak: %v", err)
-		}
-		for i := 0; i < *n; i++ {
-			if err := pub.Send(bind, &event{Seq: int32(i), Val: float64(i)}); err != nil {
-				log.Fatalf("meshsoak: publish %d: %v", i, err)
-			}
+		if err := pub.SendRecord(rec); err != nil {
+			log.Fatalf("meshsoak: publish %d: %v", i, err)
 		}
 	}
-	if dynamic {
-		// A policy rejection arrives asynchronously, after the offending
-		// format frame; every version in the chain is additive, so any
-		// compat error here is a soak failure.
-		if err := pub.Status(200 * time.Millisecond); err != nil {
-			log.Fatalf("meshsoak: publisher rejected: %v", err)
-		}
+	// A policy rejection arrives asynchronously, after the offending format
+	// frame; every version in the chain is additive, so any compat error
+	// here is a soak failure.
+	if err := pub.Status(200 * time.Millisecond); err != nil {
+		log.Fatalf("meshsoak: publisher rejected: %v", err)
 	}
 
 	done := make(chan struct{})
@@ -234,7 +182,7 @@ func main() {
 		}
 		c.Close()
 	}
-	if dynamic {
+	if *evolve > 0 || *pin {
 		// Every broker's registry must converge on the full lineage — the
 		// home decided it, gossip replicates it.  Brokers a pinned subscriber
 		// attached through converged synchronously at SUB time; the rest get
@@ -257,42 +205,14 @@ func main() {
 	}
 }
 
-// receive drains one subscriber until it has seen n events, checking the
-// sequence is exactly 0..n-1 — no gap, no repeat.
-func receive(sc *echan.SubscriberConn, broker string, idx, n int) subResult {
-	res := subResult{broker: broker, idx: idx}
-	defer sc.Close()
-	want := int32(0)
-	for res.count < n {
-		var ev event
-		if _, err := sc.Recv(&ev); err != nil {
-			res.err = fmt.Errorf("after %d events: %v", res.count, err)
-			return res
-		}
-		if ev.Seq != want {
-			if ev.Seq < want {
-				res.err = fmt.Errorf("duplicate delivery: seq %d after %d", ev.Seq, want-1)
-			} else {
-				res.err = fmt.Errorf("lost delivery: seq jumped %d -> %d", want-1, ev.Seq)
-			}
-			return res
-		}
-		want++
-		res.count++
-	}
-	return res
-}
-
-// receiveRecords drains one subscriber in dynamic (record) mode until it
-// has seen n events, checking the sequence is exactly 0..n-1 and every
-// event's val round-trips.  A negative seq is the pre-stream lineage probe
-// and is skipped.  wantID, when nonzero, asserts every record decodes
+// receiveRecords drains one subscriber until it has seen n events, checking
+// the sequence is exactly 0..n-1 and every event's val round-trips.  A
+// negative seq is the pre-stream lineage probe and is skipped.  wantID, when nonzero, asserts every record decodes
 // under that one format — the pinned-view contract: the wire evolves, the
 // subscriber's view does not.
 func receiveRecords(sc *echan.SubscriberConn, broker string, idx, n int, wantID meta.FormatID) subResult {
 	res := subResult{broker: broker, idx: idx}
 	defer sc.Close()
-	seen := make(map[meta.FormatID]bool)
 	want := int64(0)
 	for res.count < n {
 		rec, err := sc.RecvRecord()
@@ -321,16 +241,13 @@ func receiveRecords(sc *echan.SubscriberConn, broker string, idx, n int, wantID 
 			res.err = fmt.Errorf("seq %d: val = %v, want %v", seq, v, float64(seq))
 			return res
 		}
-		id := rec.Format().ID()
-		if wantID != 0 && id != wantID {
+		if id := rec.Format().ID(); wantID != 0 && id != wantID {
 			res.err = fmt.Errorf("seq %d decoded under %s, want pinned %s", seq, id, wantID)
 			return res
 		}
-		seen[id] = true
 		want++
 		res.count++
 	}
-	res.formats = len(seen)
 	return res
 }
 
@@ -369,247 +286,19 @@ func mustSet(rec *pbio.Record, name string, v any) {
 // and gossip replication (on every other broker).
 func waitLineageHead(addr, channel string, head int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	var last error
-	for time.Now().Before(deadline) {
+	for {
+		var info echan.LineageInfo
 		c, err := echan.DialControl(addr)
-		if err != nil {
-			last = err
-		} else {
-			info, err := c.Lineage(channel)
+		if err == nil {
+			info, err = c.Lineage(channel)
 			c.Close()
 			if err == nil && len(info.VersionIDs) >= head {
 				return nil
 			}
-			if err != nil {
-				last = err
-			} else {
-				last = fmt.Errorf("lineage head v%d, want v%d", len(info.VersionIDs), head)
-			}
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("waiting for %s lineage head v%d on %s: %v", channel, head, addr, last)
-}
-
-// restartState is what "-restart seed" hands "-restart verify" across the
-// broker kill: the lineage the broker must recover from disk (version IDs,
-// oldest first) and the exact JSON of the compatibility error that rejected
-// the broken head — verify demands both back bit-for-bit.
-type restartState struct {
-	Channel  string   `json:"channel"`
-	Versions []string `json:"versions"`
-	Compat   string   `json:"compat"`
-}
-
-// brokenHead builds the deliberately incompatible evolution: same fields as
-// v1 but val's type changed from double to int.  A type change violates
-// every policy above none, and both phases rebuild it deterministically so
-// the broker is shown the identical bytes before and after its restart.
-func brokenHead() *meta.Format {
-	f, err := meta.Build("MeshSoakEvent", platform.X8664, []meta.FieldDef{
-		{Name: "seq", Kind: meta.Integer, Class: platform.LongLong},
-		{Name: "val", Kind: meta.Integer, Class: platform.Int},
-	})
-	if err != nil {
-		log.Fatalf("meshsoak: building broken head: %v", err)
-	}
-	return f
-}
-
-// rejectBrokenHead publishes the broken head on the channel and returns the
-// JSON of the *registry.CompatError the broker answers with.  Anything but
-// a compat rejection is fatal — acceptance would mean the lineage history
-// (or its policy) is gone.
-func rejectBrokenHead(home, channel string) string {
-	pub, err := echan.DialPublisherConn(home, channel, pbio.NewContext())
-	if err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	defer pub.Close()
-	rec := pbio.NewRecord(brokenHead())
-	mustSet(rec, "seq", -1)
-	mustSet(rec, "val", 0)
-	if err := pub.SendRecord(rec); err != nil {
-		log.Fatalf("meshsoak: publishing broken head: %v", err)
-	}
-	err = pub.Status(5 * time.Second)
-	var ce *registry.CompatError
-	if !errors.As(err, &ce) {
-		log.Fatalf("meshsoak: broken head not rejected with a compat error (got %v)", err)
-	}
-	body, err := json.Marshal(ce)
-	if err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	return string(body)
-}
-
-// runRestartSeed drives a -store broker through the state the restart check
-// depends on: an evolved lineage, a policy decision rejecting a broken
-// head.  It records the resulting lineage and rejection in the state file.
-func runRestartSeed(home, channel, stateFile string, evolve int) {
-	if evolve < 1 {
-		evolve = 2
-	}
-	ctl, err := echan.DialControl(home)
-	if err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	defer ctl.Close()
-	if err := ctl.Create(channel); err != nil {
-		log.Fatalf("meshsoak: creating %s on %s: %v", channel, home, err)
-	}
-
-	chain := soakChain(evolve + 1)
-	pub, err := echan.DialPublisherConn(home, channel, pbio.NewContext())
-	if err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	for _, f := range chain {
-		rec := pbio.NewRecord(f)
-		mustSet(rec, "seq", -1)
-		mustSet(rec, "val", 0.0)
-		for _, fl := range f.Fields[2:] {
-			mustSet(rec, fl.Name, 0)
-		}
-		if err := pub.SendRecord(rec); err != nil {
-			log.Fatalf("meshsoak: announcing v%d: %v", len(chain), err)
-		}
-	}
-	if err := pub.Status(500 * time.Millisecond); err != nil {
-		log.Fatalf("meshsoak: seeding lineage: %v", err)
-	}
-	pub.Close()
-	if err := waitLineageHead(home, channel, len(chain), 10*time.Second); err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-
-	info, err := ctl.Lineage(channel)
-	if err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	st := restartState{Channel: channel}
-	for _, id := range info.VersionIDs {
-		st.Versions = append(st.Versions, meta.FormatID(id).String())
-	}
-	st.Compat = rejectBrokenHead(home, channel)
-
-	buf, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	if err := os.WriteFile(stateFile, buf, 0o644); err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	fmt.Printf("meshsoak: seeded lineage %s to v%d, broken head rejected; state in %s\n",
-		channel, len(st.Versions), stateFile)
-}
-
-// runRestartVerify checks a restarted -store broker against the seeded
-// state: the full lineage must come back in the broker's *first* directory
-// answer (the peers are down and nothing was re-published, so only local
-// disk can supply it), the broken head must be re-rejected byte-identically,
-// and a v1-pinned subscriber resolved from the recovered lineage must see a
-// fresh stream exactly once.
-func runRestartVerify(home, channel, stateFile string, n, queue int) {
-	buf, err := os.ReadFile(stateFile)
-	if err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	var st restartState
-	if err := json.Unmarshal(buf, &st); err != nil {
-		log.Fatalf("meshsoak: reading %s: %v", stateFile, err)
-	}
-	if st.Channel != "" {
-		channel = st.Channel
-	}
-
-	// Retry only the dial (the broker may still be binding its port); the
-	// first successful lineage answer is judged as-is.  Incomplete means
-	// recovery failed — with no peers and no republish there is no second
-	// chance that would not be cheating.
-	var info echan.LineageInfo
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ctl, err := echan.DialControl(home)
-		if err == nil {
-			info, err = ctl.Lineage(channel)
-			ctl.Close()
-			if err != nil {
-				log.Fatalf("meshsoak: restarted broker has no lineage %s: %v", channel, err)
-			}
-			break
 		}
 		if time.Now().After(deadline) {
-			log.Fatalf("meshsoak: dialing restarted broker %s: %v", home, err)
+			return fmt.Errorf("waiting for %s lineage head v%d on %s: at v%d (%v)", channel, head, addr, len(info.VersionIDs), err)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	if len(info.VersionIDs) != len(st.Versions) {
-		log.Fatalf("meshsoak: recovered lineage has %d versions, want %d", len(info.VersionIDs), len(st.Versions))
-	}
-	for i, id := range info.VersionIDs {
-		if meta.FormatID(id).String() != st.Versions[i] {
-			log.Fatalf("meshsoak: recovered v%d = %s, want %s", i+1, meta.FormatID(id), st.Versions[i])
-		}
-	}
-	fmt.Printf("meshsoak: restarted broker served all %d lineage versions from disk, bit-exact\n", len(st.Versions))
-
-	got := rejectBrokenHead(home, channel)
-	if got != st.Compat {
-		log.Fatalf("meshsoak: rejection drifted across restart:\n  before: %s\n  after:  %s", st.Compat, got)
-	}
-	fmt.Printf("meshsoak: broken head re-rejected with byte-identical compat error\n")
-
-	// Fresh exactly-once stream through a v1-pinned subscriber: the pinned
-	// view resolves from the recovered lineage, the wire carries the head
-	// format, and the subscriber must decode 0..n-1 projected onto v1.
-	chain := soakChain(len(st.Versions))
-	head := chain[len(chain)-1]
-	sc, err := echan.DialSubscriberVersion(home, channel, echan.Block, queue, 1, pbio.NewContext())
-	if err != nil {
-		log.Fatalf("meshsoak: pinned subscribe: %v", err)
-	}
-	pub, err := echan.DialPublisherConn(home, channel, pbio.NewContext())
-	if err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	defer pub.Close()
-	done := make(chan subResult, 1)
-	go func() { done <- receiveRecords(sc, home, 0, n, chain[0].ID()) }()
-	for i := 0; i < n; i++ {
-		rec := pbio.NewRecord(head)
-		mustSet(rec, "seq", i)
-		mustSet(rec, "val", float64(i))
-		for _, fl := range head.Fields[2:] {
-			mustSet(rec, fl.Name, i)
-		}
-		if err := pub.SendRecord(rec); err != nil {
-			log.Fatalf("meshsoak: publish %d: %v", i, err)
-		}
-	}
-	if err := pub.Status(200 * time.Millisecond); err != nil {
-		log.Fatalf("meshsoak: publisher rejected after restart: %v", err)
-	}
-	select {
-	case r := <-done:
-		if r.err != nil {
-			log.Fatalf("meshsoak: pinned subscriber after restart: %v", r.err)
-		}
-		fmt.Printf("meshsoak: pinned subscriber decoded %d/%d events exactly once under recovered v1\n", r.count, n)
-	case <-time.After(60 * time.Second):
-		log.Fatalf("meshsoak: timed out waiting for pinned subscriber")
-	}
-	fmt.Printf("meshsoak: restart recovery verified\n")
-}
-
-func mustFormat(ctx *pbio.Context) *meta.Format {
-	f, err := ctx.RegisterFields("MeshSoakEvent", []pbio.IOField{
-		{Name: "seq", Type: "integer"},
-		{Name: "val", Type: "double"},
-	})
-	if err != nil {
-		log.Fatalf("meshsoak: %v", err)
-	}
-	return f
 }

@@ -300,30 +300,3 @@ func LineageHandler(view func() []LineageDoc) http.Handler {
 		w.Write(MarshalLineages(view()))
 	})
 }
-
-// FetchLineages retrieves and parses a lineage discovery document through
-// the repository's cache stack (ETag revalidation, TTL, stale-if-error,
-// singleflight).  url may be the well-known URL itself or a bare http(s)
-// origin, in which case the well-known path is appended.
-func (r *Repository) FetchLineages(url string) ([]LineageDoc, error) {
-	data, err := r.Fetch(lineageURL(url))
-	if err != nil {
-		return nil, err
-	}
-	return ParseLineages(data)
-}
-
-// lineageURL normalises a lineage discovery URL the way MeshURL does for
-// mesh documents.
-func lineageURL(url string) string {
-	origin, rest := url, ""
-	if i := strings.Index(url, "://"); i >= 0 {
-		if j := strings.IndexByte(url[i+3:], '/'); j >= 0 {
-			origin, rest = url[:i+3+j], url[i+3+j:]
-		}
-	}
-	if rest == "" || rest == "/" {
-		return origin + WellKnownLineagePath
-	}
-	return url
-}

@@ -44,9 +44,9 @@ func TestParseLineagesRejects(t *testing.T) {
 	}
 }
 
-// TestLineageHandlerFetch serves a live registry snapshot over HTTP and
-// fetches it back through the Repository cache stack — the path a consumer
-// uses to resolve lineage state out of band.
+// TestLineageHandlerFetch serves a live registry snapshot over HTTP, at the
+// well-known path and at the origin root, and fetches it back through the
+// Repository cache stack.
 func TestLineageHandlerFetch(t *testing.T) {
 	lr := registry.New(registry.WithDefaultPolicy(registry.PolicyBackward))
 	v1, err := meta.Build("sensor", platform.X8664, []meta.FieldDef{
@@ -73,7 +73,11 @@ func TestLineageHandlerFetch(t *testing.T) {
 	defer srv.Close()
 
 	repo := NewRepository()
-	docs, err := repo.FetchLineages(srv.URL)
+	data, err := repo.Fetch(srv.URL + WellKnownLineagePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := ParseLineages(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +89,11 @@ func TestLineageHandlerFetch(t *testing.T) {
 		len(d.VersionIDs) != 2 || d.VersionIDs[0] != v1.ID() || d.VersionIDs[1] != v2.ID() {
 		t.Errorf("fetched %+v", d)
 	}
-	// The fetch went through the cache stack: a second fetch is served from
-	// cache without a revalidation miss.
-	if !repo.Cached(lineageURL(srv.URL)) {
+	if !repo.Cached(srv.URL + WellKnownLineagePath) {
 		t.Error("lineage document not cached after fetch")
 	}
-	if _, err := repo.FetchLineages(srv.URL + WellKnownLineagePath); err != nil {
-		t.Errorf("explicit well-known URL: %v", err)
+	if root, err := repo.Fetch(srv.URL + "/"); err != nil || string(root) != string(data) {
+		t.Errorf("origin root served %q, %v; want the well-known document", root, err)
 	}
 }
 

@@ -242,9 +242,10 @@ func TestServerResolvesOutOfBandPublisher(t *testing.T) {
 
 // TestCompatErrorCrossesSockets: a schema-policy rejection keeps its
 // structure on the wire.  A narrowing publish under a BACKWARD policy
-// reaches the publisher as a *registry.CompatError, with lineage, policy
-// and offending field intact, both from the home broker and through a mesh
-// peer that pipes the publisher's bytes to the home (forwardPublisher).
+// reaches the publisher as a *registry.CompatError, with lineage, policy,
+// offending field and both format IDs intact, both from the home broker
+// and through a mesh peer that pipes the publisher's bytes to the home
+// (forwardPublisher).
 func TestCompatErrorCrossesSockets(t *testing.T) {
 	_, home, _, sr := evolveMeshServer(t, 0)
 	peer, via, _, _ := evolveMeshServer(t, 0)
@@ -293,6 +294,10 @@ func TestCompatErrorCrossesSockets(t *testing.T) {
 			}
 			if len(ce.Violations) != 1 || ce.Violations[0].Path != "value" {
 				t.Errorf("violations = %+v, want the value field alone", ce.Violations)
+			}
+			if ce.ToID != narrowed.ID() || ce.FromID != chain[0].ID() {
+				t.Errorf("rejection names formats %s against %s; want %s against %s",
+					ce.ToID, ce.FromID, narrowed.ID(), chain[0].ID())
 			}
 		})
 	}

@@ -7,7 +7,7 @@ import (
 
 // Format evolution semantics.
 //
-// Match (compat.go) answers "can this receiver decode that wire format at
+// Convertible (below) answers "can this receiver decode that wire field at
 // all?"  Evolution answers the stronger registry question: "if a format
 // lineage steps from old to new, which deployed parties break?"  Two
 // directions matter, named from the reader's point of view:
@@ -148,7 +148,7 @@ func (d *EvolutionDiff) Breaking(backward, forward bool) []FieldChange {
 }
 
 // EvolveDiff computes the evolution diff from old to new.  Fields are
-// matched by case-insensitive name, like Match.
+// matched by case-insensitive name, as the decode plan matches them.
 func EvolveDiff(old, new *Format) *EvolutionDiff {
 	d := &EvolutionDiff{}
 	diffInto(d, "", old, new)
@@ -340,8 +340,34 @@ func arraySuffix(f *Field) string {
 // native field under PBIO's matching rules: array shapes must agree
 // (dynamic arrays must be sized by the same length field), numeric kinds
 // convert freely across widths and signedness, strings match strings, and
-// nested records match recursively via Match.  It is the exported form of
-// the check Match applies to every shared field.
+// nested records match recursively: every field the two records share by
+// (case-insensitive) name must be convertible.
 func Convertible(wire, native *Field) error {
-	return convertible(wire, native)
+	switch {
+	case wire.IsDynamic() != native.IsDynamic():
+		return fmt.Errorf("dynamic array mismatch (wire %v, native %v)", wire.IsDynamic(), native.IsDynamic())
+	case wire.StaticDim != native.StaticDim:
+		return fmt.Errorf("static array mismatch (wire dim %d, native dim %d)", wire.StaticDim, native.StaticDim)
+	}
+	if wire.IsDynamic() && !strings.EqualFold(wire.LengthField, native.LengthField) {
+		return fmt.Errorf("dynamic arrays sized by different fields (%q vs %q)", wire.LengthField, native.LengthField)
+	}
+	switch {
+	case wire.Kind.Numeric() && native.Kind.Numeric():
+		return nil
+	case wire.Kind == String && native.Kind == String:
+		return nil
+	case wire.Kind == Struct && native.Kind == Struct:
+		for i := range wire.Sub.Fields {
+			wf := &wire.Sub.Fields[i]
+			if ni := native.Sub.FieldByName(wf.Name); ni >= 0 {
+				if err := Convertible(wf, &native.Sub.Fields[ni]); err != nil {
+					return fmt.Errorf("meta: format %q field %q: %w", wire.Sub.Name, wf.Name, err)
+				}
+			}
+		}
+		return nil
+	default:
+		return fmt.Errorf("kinds %s and %s are not convertible", wire.Kind, native.Kind)
+	}
 }

@@ -247,9 +247,8 @@ func TestEvolveDiffTable(t *testing.T) {
 	})
 }
 
-// TestConvertibleExported covers the matching rules the registry leans on:
-// the exported Convertible must agree with what Match enforces for shared
-// fields, across the shapes that trip people up.
+// TestConvertibleExported covers the matching rules the registry leans on,
+// across the shapes that trip people up.
 func TestConvertibleExported(t *testing.T) {
 	sub := build(t, "hdr", []FieldDef{
 		{Name: "seq", Kind: Unsigned, Class: platform.Int},

@@ -260,113 +260,6 @@ func TestFieldByNameCaseInsensitive(t *testing.T) {
 	}
 }
 
-func TestMatchIdentical(t *testing.T) {
-	f, _ := Build("F", platform.Sparc32, simpleDataDefs())
-	rep, err := Match(f, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Exact {
-		t.Error("a format must match itself exactly")
-	}
-	for _, m := range rep.Matches {
-		if m.Kind != MatchExact {
-			t.Errorf("unexpected non-exact match %+v", m)
-		}
-	}
-}
-
-func TestMatchEvolution(t *testing.T) {
-	old, _ := Build("Msg", platform.Sparc32, []FieldDef{
-		{Name: "a", Kind: Integer, Class: platform.Int},
-		{Name: "b", Kind: Float, Class: platform.Double},
-	})
-	evolved, _ := Build("Msg", platform.Sparc32, []FieldDef{
-		{Name: "a", Kind: Integer, Class: platform.Int},
-		{Name: "extra", Kind: Integer, Class: platform.Int},
-		{Name: "b", Kind: Float, Class: platform.Double},
-	})
-	// New sender -> old receiver: "extra" is skipped.
-	rep, err := Match(evolved, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped, zeroed := 0, 0
-	for _, m := range rep.Matches {
-		switch m.Kind {
-		case MatchSkipped:
-			skipped++
-		case MatchZeroed:
-			zeroed++
-		}
-	}
-	if skipped != 1 || zeroed != 0 {
-		t.Errorf("new->old: skipped=%d zeroed=%d, want 1, 0", skipped, zeroed)
-	}
-	// Old sender -> new receiver: "extra" is zeroed.
-	rep, err = Match(old, evolved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped, zeroed = 0, 0
-	for _, m := range rep.Matches {
-		switch m.Kind {
-		case MatchSkipped:
-			skipped++
-		case MatchZeroed:
-			zeroed++
-		}
-	}
-	if skipped != 0 || zeroed != 1 {
-		t.Errorf("old->new: skipped=%d zeroed=%d, want 0, 1", skipped, zeroed)
-	}
-	if err := CompatibleSuperset(old, evolved); err != nil {
-		t.Errorf("evolved format should be a compatible superset: %v", err)
-	}
-	if err := CompatibleSuperset(evolved, old); err == nil {
-		t.Error("old format drops a field; CompatibleSuperset should fail")
-	}
-}
-
-func TestMatchIncompatible(t *testing.T) {
-	a, _ := Build("M", platform.Sparc32, []FieldDef{
-		{Name: "x", Kind: String},
-	})
-	b, _ := Build("M", platform.Sparc32, []FieldDef{
-		{Name: "x", Kind: Integer, Class: platform.Int},
-	})
-	if _, err := Match(a, b); err == nil {
-		t.Error("string vs integer field should not be convertible")
-	}
-
-	c, _ := Build("M", platform.Sparc32, []FieldDef{
-		{Name: "n", Kind: Integer, Class: platform.Int},
-		{Name: "x", Kind: Float, Class: platform.Float, LengthField: "n"},
-	})
-	d, _ := Build("M", platform.Sparc32, []FieldDef{
-		{Name: "n", Kind: Integer, Class: platform.Int},
-		{Name: "x", Kind: Float, Class: platform.Float},
-	})
-	if _, err := Match(c, d); err == nil {
-		t.Error("dynamic vs scalar field should not be convertible")
-	}
-}
-
-func TestMatchCrossPlatformNumericWidths(t *testing.T) {
-	// unsigned long is 4 bytes on sparc32 and 8 on x86_64; they must
-	// still be convertible.
-	defs := []FieldDef{{Name: "addr", Kind: Unsigned, Class: platform.Long}}
-	a, _ := Build("M", platform.Sparc32, defs)
-	b, _ := Build("M", platform.X8664, defs)
-	rep, err := Match(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Exact {
-		t.Error("different layouts must not be reported as exact")
-	}
-}
-
 func TestValidateRejectsCorrupt(t *testing.T) {
 	f, _ := Build("F", platform.Sparc32, simpleDataDefs())
 

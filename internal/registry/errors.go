@@ -26,8 +26,8 @@ type CompatError struct {
 	Policy      Policy             `json:"-"`
 	PolicyName  string             `json:"policy"`
 	FromVersion int                `json:"from_version"`
-	ToID        meta.FormatID      `json:"-"`
-	FromID      meta.FormatID      `json:"-"`
+	ToID        meta.FormatID      `json:"to_id"`
+	FromID      meta.FormatID      `json:"from_id"`
 	Violations  []meta.FieldChange `json:"violations"`
 }
 
